@@ -48,13 +48,21 @@ from .construct import (
     build_sparse_systematic,
     build_vanilla_systematic,
 )
-from .errors import PmCodeError
+from .errors import BadCount, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
 from .linalg import Matrix
 
 DESCRIPTOR_FORMAT = "pmcode-descriptor-v1"
 MAGIC = b"PMSHARD1"
 _HEADER = struct.Struct(">8s32sIQQ")
+
+# top-level keys code_from_descriptor reads, with their JSON types
+_DESCRIPTOR_KEYS = {
+    "n": int, "k": int, "d": int, "seed": int,
+    "construction": str, "field": dict, "xs": list, "hashes": dict,
+}
+# the number that pins each field kind
+_FIELD_NUMBER = {"binary8": "poly", "prime": "q"}
 
 _BUILDERS = {
     "vanilla": build_vanilla_systematic,
@@ -86,11 +94,10 @@ def _field_to_json(field) -> dict:
 
 
 def _field_from_json(fd: dict):
-    if fd["kind"] == "binary8":
-        return BinaryField(fd["poly"])
-    if fd["kind"] == "prime":
-        return PrimeField(fd["q"])
-    raise CliError(f"unknown field kind {fd['kind']!r}")
+    try:
+        return BinaryField(fd["poly"]) if fd["kind"] == "binary8" else PrimeField(fd["q"])
+    except ValueError as exc:
+        raise CliError(f"descriptor field: {exc}") from exc
 
 
 def generation_artifacts(code) -> dict[str, str]:
@@ -132,20 +139,38 @@ def descriptor_bytes(desc: dict) -> bytes:
     return (json.dumps(desc, sort_keys=True, indent=2) + "\n").encode()
 
 
+def _check_descriptor(desc) -> None:
+    """Raise CliError unless every key code_from_descriptor reads has its JSON type."""
+    if type(desc) is not dict:
+        raise CliError(f"descriptor must be a JSON object, not {type(desc).__name__}")
+    if desc.get("format") != DESCRIPTOR_FORMAT:
+        raise CliError(f"unsupported descriptor format {desc.get('format')!r}")
+    for key, kind in _DESCRIPTOR_KEYS.items():
+        if key not in desc:
+            raise CliError(f"descriptor is missing {key!r}")
+        if type(desc[key]) is not kind:
+            raise CliError(f"descriptor {key!r} must be a JSON {kind.__name__}, got {desc[key]!r}")
+    fd = desc["field"]
+    number = _FIELD_NUMBER.get(fd.get("kind"))
+    if number is None:
+        raise CliError(f"unknown field kind {fd.get('kind')!r}")
+    if type(fd.get(number)) is not int:
+        raise CliError(f"descriptor field of kind {fd['kind']!r} needs an integer {number!r}")
+
+
 def load_descriptor(path) -> tuple[dict, bytes]:
-    """Read a descriptor file; returns (parsed dict, sha256 of the raw bytes)."""
+    """Read a descriptor file; returns (parsed JSON, sha256 of the raw bytes)."""
     raw = Path(path).read_bytes()
     try:
         desc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(f"descriptor is not valid JSON: {exc}") from exc
-    if desc.get("format") != DESCRIPTOR_FORMAT:
-        raise CliError(f"unsupported descriptor format {desc.get('format')!r}")
     return desc, hashlib.sha256(raw).digest()
 
 
 def code_from_descriptor(desc: dict):
-    """Deterministically rebuild the code and verify it matches the descriptor."""
+    """Schema-check the descriptor, rebuild the code and verify it matches."""
+    _check_descriptor(desc)
     construction = desc["construction"]
     if construction not in _BUILDERS:
         raise CliError(f"unknown construction {construction!r}")
@@ -155,7 +180,7 @@ def code_from_descriptor(desc: dict):
     if list(enc.xs) != list(desc["xs"]):
         raise CliError("rebuilt code uses different evaluation points than the descriptor")
     for name, text in generation_artifacts(code).items():
-        if hashlib.sha256(text.encode()).hexdigest() != desc["hashes"][name]:
+        if hashlib.sha256(text.encode()).hexdigest() != desc["hashes"].get(name):
             raise CliError(f"rebuilt {name} does not match the descriptor hash")
     return code
 
@@ -271,7 +296,7 @@ def cmd_encode(args) -> int:
     padded = data.ljust(stripes * p.B, b"\0")
     arr = np.frombuffer(padded, dtype=np.uint8).reshape(stripes, p.B).T
     if p.field.kind != "binary8":
-        arr = arr.astype(np.int64)
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
     out_rows = encode_stripes(code, arr)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,6 +350,10 @@ def cmd_decode(args) -> int:
     ids = _parse_ids(args.nodes) if args.nodes else sorted(shards)[: p.k]
     if len(ids) != p.k:
         raise CliError(f"need exactly k={p.k} nodes, got {len(ids)}")
+    try:
+        code.check_decode_args(ids)
+    except (BadCount, IndexOutOfRange) as exc:
+        raise CliError(f"bad node list {args.nodes!r}: {exc}") from exc
     stripes = payload_len = None
     stacked = []
     for i in ids:
@@ -342,8 +371,8 @@ def cmd_decode(args) -> int:
     message = apply_rows_bulk(p.field, block.inverse(), np.vstack(stacked))
     if message.max(initial=0) > 255:
         raise CliError("decoded symbols exceed byte range; shards are inconsistent")
-    data = message.astype(np.uint8).T.reshape(-1).tobytes()[:payload_len]
-    Path(args.out).write_bytes(data)
+    data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)
+    Path(args.out).write_bytes(memoryview(data)[:payload_len])
     print(f"decoded {payload_len} bytes from nodes {','.join(str(i) for i in ids)} -> {args.out}")
     return 0
 

@@ -150,7 +150,7 @@ class ShortenedCode(LinearCode):
 
     def decode_via_parent(self, ids: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
         """Cross-check path: decode in the parent with the dropped nodes as zero helpers."""
-        self._check_decode_args(ids)
+        self.check_decode_args(ids)
         i = self.depth
         alpha = self.params.alpha
         parent_ids = list(range(i)) + [x + i for x in ids]

@@ -529,17 +529,20 @@ class LinearCode:
 
     # -- decoding ----------------------------------------------------------
 
-    def _check_decode_args(self, ids: Sequence[int]):
+    def check_decode_args(self, ids: Sequence[int]):
+        """Raise unless ``ids`` names k distinct nodes, each in range."""
         n, k = self.params.n, self.params.k
-        if len(ids) != k or len(set(ids)) != len(ids):
-            raise BadCount(f"need k={k} distinct nodes, got {list(ids)}")
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if len(ids) != k or repeated:
+            detail = f" (repeated: {repeated})" if repeated else ""
+            raise BadCount(f"need k={k} distinct nodes, got {list(ids)}{detail}")
         for i in ids:
             if not 0 <= i < n:
                 raise IndexOutOfRange(f"node {i} of {n}")
 
     def decode(self, ids: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
         """Recover the packed message from the stored rows of any k nodes."""
-        self._check_decode_args(ids)
+        self.check_decode_args(ids)
         if len(rows) != len(ids):
             raise BadCount(f"{len(rows)} rows for {len(ids)} nodes")
         alpha = self.params.alpha
@@ -598,7 +601,7 @@ class PmVandermondeCode(LinearCode):
             raise DesignMismatch("identity-block decode needs nodes 0..k-1 of an identity-block design")
         if method == "generic" or not applicable:
             return super().decode(ids, rows)
-        self._check_decode_args(ids)
+        self.check_decode_args(ids)
         alpha = self.params.alpha
         c_k = Matrix(self.params.field, [list(r) for r in rows])
         lam_k = list(self.enc.lam[: self.params.k])

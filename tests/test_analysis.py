@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from pmcode import analysis
 from pmcode.analysis import (
     BenchResult,
     apply_rows_bulk,
@@ -24,6 +25,7 @@ from pmcode.construct import (
     build_vanilla_systematic,
 )
 from pmcode.core import build_params, random_message
+from pmcode.errors import FieldMismatch
 from pmcode.field import field_of_order
 from pmcode.linalg import Matrix
 
@@ -159,6 +161,63 @@ def test_apply_rows_bulk_matches_per_stripe_mul():
         for s in range(9):
             col = [int(data[t][s]) for t in range(5)]
             assert [int(out[r][s]) for r in range(7)] == mat.mul_vector(col)
+
+
+def _per_symbol(field, mat, data):
+    """mat @ data one symbol at a time with field.mul and field.add."""
+    out = np.zeros((mat.rows, data.shape[1]), dtype=np.int64)
+    for r, row in enumerate(mat.data):
+        for s in range(data.shape[1]):
+            acc = 0
+            for j, c in enumerate(row):
+                acc = field.add(acc, field.mul(c, int(data[j, s])))
+            out[r, s] = acc
+    return out
+
+
+@pytest.mark.parametrize("skip_zeros", [True, False])
+def test_apply_rows_bulk_every_gf256_coefficient(skip_zeros):
+    field = field_of_order(256)
+    mat = Matrix(field, [[c] for c in range(256)])
+    data = np.arange(256, dtype=np.uint8)[None, :]
+    out = apply_rows_bulk(field, mat, data, skip_zeros=skip_zeros)
+    assert np.array_equal(out, _per_symbol(field, mat, data))
+
+
+@pytest.mark.parametrize("skip_zeros", [True, False])
+@pytest.mark.parametrize("stripes", [1, 15, 16, 17, 70])
+def test_apply_rows_bulk_gf256_chunk_edges(monkeypatch, stripes, skip_zeros):
+    # 64 bytes over 4 source rows: chunks of 16 stripes
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 64)
+    field = field_of_order(256)
+    rng = random.Random(stripes)
+    row_values = [0, 1, 2, 255]
+    mat = Matrix(field, [[rng.choice(row_values) for _ in range(4)] for _ in range(5)])
+    data = random_stripes(field, 4, stripes, seed=stripes)
+    out = apply_rows_bulk(field, mat, data, skip_zeros=skip_zeros)
+    assert np.array_equal(out, _per_symbol(field, mat, data))
+    # the transposed view encode passes in gives the same result
+    strided = np.ascontiguousarray(data.T).T
+    assert np.array_equal(apply_rows_bulk(field, mat, strided, skip_zeros=skip_zeros), out)
+
+
+def test_apply_rows_bulk_gf256_rejects_wide_symbols():
+    field = field_of_order(256)
+    mat = Matrix(field, [[1, 2]])
+    with pytest.raises(FieldMismatch):
+        apply_rows_bulk(field, mat, np.zeros((2, 3), dtype=np.int64))
+
+
+def test_apply_rows_bulk_prime_c_and_f_order_agree():
+    field = field_of_order(257)
+    rng = random.Random(3)
+    mat = Matrix(field, [[rng.randrange(257) for _ in range(6)] for _ in range(4)])
+    f_order = np.asfortranarray(random_stripes(field, 6, 40, seed=3))
+    c_order = np.ascontiguousarray(f_order)
+    assert not f_order.flags.c_contiguous
+    out = apply_rows_bulk(field, mat, c_order)
+    assert np.array_equal(out, apply_rows_bulk(field, mat, f_order))
+    assert np.array_equal(out, _per_symbol(field, mat, c_order))
 
 
 def test_apply_rows_bulk_skip_and_dense_identical():

@@ -197,6 +197,41 @@ def test_decode_requires_exactly_k_nodes(tmp_path, capsys):
     assert "need exactly k=4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "nodes, message",
+    [("0,0,1,2", "repeated: [0]"), ("0,1,2,8", "node 8 of 8")],
+)
+def test_decode_rejects_bad_node_ids(tmp_path, capsys, nodes, message):
+    desc_path, shards = _cycle(
+        tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), b"payload"
+    )
+    assert run("decode", "--descriptor", desc_path, "--shard-dir", shards,
+               "--nodes", nodes, "--out", tmp_path / "o.bin") == 2
+    err = capsys.readouterr().err
+    assert f"bad node list '{nodes}'" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: {k: v for k, v in d.items() if k != "seed"}, "missing 'seed'"),
+        (lambda d: {**d, "field": {"kind": "binary8"}}, "needs an integer 'poly'"),
+        (lambda d: [d], "must be a JSON object, not list"),
+        (lambda d: {**d, "n": "8"}, "'n' must be a JSON int"),
+    ],
+    ids=["missing-seed", "field-without-poly", "top-level-list", "n-as-string"],
+)
+def test_malformed_descriptor_is_a_cli_error(tmp_path, capsys, mutate, message):
+    out = gen_dir(tmp_path, "g", "--n", 8, "--k", 4, "--d", 6, "--gf256")
+    path = out / "descriptor.json"
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    assert run("encode", "--descriptor", path, "--data", data,
+               "--out-dir", tmp_path / "shards") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_certify_cli(tmp_path, capsys):
     out = gen_dir(tmp_path, "g", "--n", 8, "--k", 4, "--d", 6, "--q", 11)
     assert run("certify", "--descriptor", out / "descriptor.json") == 0
