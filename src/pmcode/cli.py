@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import struct
 import sys
 from pathlib import Path
@@ -48,7 +47,7 @@ from .construct import (
     build_sparse_systematic,
     build_vanilla_systematic,
 )
-from .errors import BadCount, IndexOutOfRange, PmCodeError
+from .errors import BadCount, BadHelperCount, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
 from .linalg import Matrix
 
@@ -207,10 +206,16 @@ def _symbol_dtype(field):
     return np.dtype(np.uint8) if field.kind == "binary8" else np.dtype(">u4")
 
 
+def _stripe_count(payload_len: int, B: int) -> int:
+    """Stripes of B symbols that carry payload_len bytes; an empty payload takes one."""
+    return max(1, -(-payload_len // B))
+
+
 def write_shard(path, digest: bytes, node: int, stripes: int, payload_len: int, rows: np.ndarray, field) -> None:
-    header = _HEADER.pack(MAGIC, digest, node, stripes, payload_len)
-    body = np.ascontiguousarray(rows.astype(_symbol_dtype(field))).tobytes()
-    Path(path).write_bytes(header + body)
+    body = np.ascontiguousarray(rows, dtype=_symbol_dtype(field))  # copies only to convert
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, digest, node, stripes, payload_len))
+        fh.write(body)
 
 
 def read_shard(path, digest: bytes, field, alpha: int):
@@ -223,7 +228,7 @@ def read_shard(path, digest: bytes, field, alpha: int):
         raise CliError(f"{path}: not a shard file")
     if got_digest != digest:
         raise CliError(f"{path}: shard belongs to a different descriptor")
-    body = raw[_HEADER.size :]
+    body = memoryview(raw)[_HEADER.size :]
     dtype = _symbol_dtype(field)
     expected = alpha * stripes * dtype.itemsize
     if len(body) != expected:
@@ -246,6 +251,31 @@ def _scan_shards(shard_dir) -> dict[int, Path]:
     if not found:
         raise CliError(f"no node_*.shard files in {shard_dir}")
     return found
+
+
+def _read_nodes(shard_dir, shards: dict, ids, digest: bytes, params, role: str):
+    """Yield (stripes, payload_len, rows) for each id in turn.
+
+    Every header must name its node and agree with the first shard's
+    geometry, whose payload length must fit its stripe count.
+    """
+    geometry = None
+    for i in ids:
+        if i not in shards:
+            raise CliError(f"{role} {i} has no shard in {shard_dir}")
+        node, stripes, payload_len, rows = read_shard(shards[i], digest, params.field, params.alpha)
+        if node != i:
+            raise CliError(f"{shards[i]}: header says node {node}")
+        if geometry is None:
+            if stripes != _stripe_count(payload_len, params.B):
+                raise CliError(
+                    f"{shards[i]}: payload length {payload_len} does not fit "
+                    f"{stripes} stripes of {params.B} bytes"
+                )
+            geometry = (stripes, payload_len)
+        elif (stripes, payload_len) != geometry:
+            raise CliError(f"{shards[i]}: stripe geometry differs from other {role}s")
+        yield stripes, payload_len, rows
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -292,7 +322,7 @@ def cmd_encode(args) -> int:
     p = code.params
     _data_symbols_per_byte_check(p.field)
     data = Path(args.data).read_bytes()
-    stripes = max(1, math.ceil(len(data) / p.B))
+    stripes = _stripe_count(len(data), p.B)
     padded = data.ljust(stripes * p.B, b"\0")
     arr = np.frombuffer(padded, dtype=np.uint8).reshape(stripes, p.B).T
     if p.field.kind != "binary8":
@@ -320,19 +350,13 @@ def cmd_repair(args) -> int:
         helpers = _parse_ids(args.helpers)
     else:
         helpers = [i for i in sorted(shards) if i != failed][: p.d]
-    stripes = payload_len = None
+    try:
+        code.check_repair_args(failed, helpers)
+    except (BadHelperCount, IndexOutOfRange) as exc:
+        raise CliError(f"cannot repair node {failed}: {exc}") from exc
     transfers = []
     rv = Matrix(p.field, [code.repair_vector(failed)])
-    for h in helpers:
-        if h not in shards:
-            raise CliError(f"helper {h} has no shard in {args.shard_dir}")
-        node, s, plen, rows = read_shard(shards[h], digest, p.field, p.alpha)
-        if node != h:
-            raise CliError(f"{shards[h]}: header says node {node}")
-        if stripes is None:
-            stripes, payload_len = s, plen
-        elif (s, plen) != (stripes, payload_len):
-            raise CliError(f"{shards[h]}: stripe geometry differs from other helpers")
+    for stripes, payload_len, rows in _read_nodes(args.shard_dir, shards, helpers, digest, p, "helper"):
         transfers.append(apply_rows_bulk(p.field, rv, rows)[0])
     t = code.repair_matrix(failed, helpers)
     rebuilt = apply_rows_bulk(p.field, t, np.array(transfers))
@@ -354,18 +378,8 @@ def cmd_decode(args) -> int:
         code.check_decode_args(ids)
     except (BadCount, IndexOutOfRange) as exc:
         raise CliError(f"bad node list {args.nodes!r}: {exc}") from exc
-    stripes = payload_len = None
     stacked = []
-    for i in ids:
-        if i not in shards:
-            raise CliError(f"node {i} has no shard in {args.shard_dir}")
-        node, s, plen, rows = read_shard(shards[i], digest, p.field, p.alpha)
-        if node != i:
-            raise CliError(f"{shards[i]}: header says node {node}")
-        if stripes is None:
-            stripes, payload_len = s, plen
-        elif (s, plen) != (stripes, payload_len):
-            raise CliError(f"{shards[i]}: stripe geometry differs from other shards")
+    for _, payload_len, rows in _read_nodes(args.shard_dir, shards, ids, digest, p, "node"):
         stacked.append(rows)
     block = Matrix.vstack([code.node_block(i) for i in ids])
     message = apply_rows_bulk(p.field, block.inverse(), np.vstack(stacked))

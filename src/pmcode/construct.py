@@ -20,7 +20,7 @@ workable prime field when none is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .core import (
@@ -59,14 +59,12 @@ def sparsify_encoding(enc: EncodingMatrix) -> EncodingMatrix:
     The top alpha rows of the new Phi form the identity, so the first alpha
     nodes of the remapped code will each store single message symbols and
     every generator row ends up d-sparse.  All three construction properties
-    survive (right-multiplication by an invertible matrix), but they are
-    revalidated rather than assumed.
+    survive right-multiplication by an invertible matrix, so none is checked
+    again: ``inverse()`` raising ``Singular`` is the only check needed.  The
+    full report stays available, on first access, as ``validation``.
     """
-    params = enc.params
-    alpha = params.alpha
-    phi_alpha = enc.phi.take_rows(range(alpha))
-    phi = enc.phi @ phi_alpha.inverse()
-    return encoding_from_phi_lambda(params, phi, list(enc.lam), xs=enc.xs)
+    phi = enc.phi @ enc.phi.take_rows(range(enc.params.alpha)).inverse()
+    return replace(enc, phi=phi, psi=psi_from_phi_lambda(enc.params, phi, enc.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ class ShortenedCode(LinearCode):
         return self.parent.repair_vector(failed + self.depth)
 
     def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        self._check_repair_args(failed, helpers)
+        self.check_repair_args(failed, helpers)
         i = self.depth
         parent_helpers = list(range(i)) + [h + i for h in helpers]
         full = self.parent.repair_matrix(failed + i, parent_helpers)

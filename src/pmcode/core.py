@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -97,7 +98,20 @@ class EncodingMatrix:
     lam: tuple               # n diagonal entries of Lambda
     psi: Matrix              # n x d = [Phi  Lambda*Phi]
     xs: Optional[tuple]      # evaluation points when Vandermonde-built
-    validation: Optional[ValidationReport]
+    # limits and seed of the report behind ``validation``
+    exhaustive_limit: int = 100_000
+    samples: int = 1000
+    seed: int = 0
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The full property check, run on first access and then kept.
+
+        Raises PropertyViolation when a property fails.
+        """
+        return validate_properties(
+            self.params, self.phi, list(self.lam), self.exhaustive_limit, self.samples, self.seed
+        )
 
 
 def _subset_iter(n: int, size: int, limit: int, samples: int, seed: int):
@@ -129,12 +143,7 @@ def validate_properties(
     generator.
     """
     n, d, alpha = params.n, params.d, params.alpha
-    seen = {}
-    for i, v in enumerate(lam):
-        if v in seen:
-            raise PropertyViolation(3, (seen[v], i), f"lambda[{seen[v]}] == lambda[{i}] == {v}")
-        seen[v] = i
-
+    _check_lambdas_distinct(lam)
     psi = psi_from_phi_lambda(params, phi, lam)
 
     mode1, cases1, subsets = _subset_iter(n, alpha, exhaustive_limit, samples, seed)
@@ -153,6 +162,15 @@ def validate_properties(
         lambdas_distinct=True,
         seed=seed,
     )
+
+
+def _check_lambdas_distinct(lam: Sequence[int]) -> None:
+    """Property 3: raise PropertyViolation(3, (i, j)) for the first repeated lambda."""
+    seen = {}
+    for i, v in enumerate(lam):
+        if v in seen:
+            raise PropertyViolation(3, (seen[v], i), f"lambda[{seen[v]}] == lambda[{i}] == {v}")
+        seen[v] = i
 
 
 def psi_from_phi_lambda(params: CodeParams, phi: Matrix, lam: Sequence[int]) -> Matrix:
@@ -174,6 +192,11 @@ def encoding_from_phi_lambda(
     samples: int = 1000,
     seed: int = 0,
 ) -> EncodingMatrix:
+    """Encoding matrix from a given Phi and lambda.
+
+    With ``validate`` the three properties are checked now, as a Phi built
+    elsewhere needs; otherwise ``validation`` runs them on first access.
+    """
     if params.d != 2 * params.k - 2:
         raise InvalidRegime(
             f"direct construction requires d=2k-2, got d={params.d}, k={params.k}"
@@ -184,17 +207,19 @@ def encoding_from_phi_lambda(
         )
     if len(lam) != params.n:
         raise LengthMismatch(f"lambda has {len(lam)} entries, expected {params.n}")
-    report = None
-    if validate:
-        report = validate_properties(params, phi, lam, exhaustive_limit, samples, seed)
-    return EncodingMatrix(
+    enc = EncodingMatrix(
         params=params,
         phi=phi,
         lam=tuple(lam),
         psi=psi_from_phi_lambda(params, phi, lam),
         xs=tuple(xs) if xs is not None else None,
-        validation=report,
+        exhaustive_limit=exhaustive_limit,
+        samples=samples,
+        seed=seed,
     )
+    if validate:
+        enc.validation  # raises PropertyViolation
+    return enc
 
 
 def build_vandermonde_encoding(
@@ -206,25 +231,30 @@ def build_vandermonde_encoding(
 ) -> EncodingMatrix:
     """Vandermonde instantiation: psi[i][j] = xs[i]^(j+1), lambda_i = xs[i]^alpha.
 
+    For distinct nonzero points, properties 1 and 2 hold by construction:
+    any alpha rows of Phi form diag(x) times a Vandermonde matrix, and any
+    d = 2*alpha rows of Psi are the rows x^1..x^d.  Only property 3 (the
+    x^alpha pairwise distinct) is then checked, in O(n); the full
+    ``validate_properties`` report is left to ``EncodingMatrix.validation``.
+    Explicit ``xs`` that are not all canonical nonzero field elements go
+    through the full check at once.
+
     With explicit ``xs`` a property violation is an error.  Without, the
     default points are tried first (1..n); over GF(2^8), where x -> x^alpha
-    need not be injective, successive runs (s, .., s+n-1) are tried until the
-    properties validate.
+    need not be injective, successive runs (s, .., s+n-1) are tried until
+    property 3 holds.
     """
     field = params.field
     alpha = params.alpha
 
     def attempt(points):
-        phi = vandermonde(field, points, alpha)
+        phi = vandermonde(field, points, alpha)  # raises on a repeated point
         lam = phi.column_vector(alpha - 1)  # x^alpha is Phi's last column
-        report = validate_properties(params, phi, lam, exhaustive_limit, samples, seed)
-        return EncodingMatrix(
-            params=params,
-            phi=phi,
-            lam=tuple(lam),
-            psi=psi_from_phi_lambda(params, phi, lam),
-            xs=tuple(points),
-            validation=report,
+        nonzero = all(isinstance(x, int) and 0 < x < field.order for x in points)
+        if nonzero:
+            _check_lambdas_distinct(lam)
+        return encoding_from_phi_lambda(
+            params, phi, lam, points, not nonzero, exhaustive_limit, samples, seed
         )
 
     if params.d != 2 * params.k - 2:
@@ -482,7 +512,8 @@ class LinearCode:
         """alpha x d matrix turning the d transferred symbols into the lost row."""
         raise NotImplementedError
 
-    def _check_repair_args(self, failed: int, helpers: Sequence[int]):
+    def check_repair_args(self, failed: int, helpers: Sequence[int]):
+        """Raise unless ``failed`` is in range and ``helpers`` names d other distinct nodes."""
         n, d = self.params.n, self.params.d
         if not 0 <= failed < n:
             raise IndexOutOfRange(f"node {failed} of {n}")
@@ -507,7 +538,7 @@ class LinearCode:
 
     def repair(self, failed: int, helpers: Sequence[int], symbols: Sequence[int]) -> list[int]:
         """Rebuild the failed node's alpha symbols from d transferred scalars."""
-        self._check_repair_args(failed, helpers)
+        self.check_repair_args(failed, helpers)
         if len(symbols) != self.params.d:
             raise BadHelperCount(
                 f"need exactly d={self.params.d} symbols, got {len(symbols)}"
@@ -516,7 +547,7 @@ class LinearCode:
 
     def run_repair(self, stored: Sequence[Sequence[int]], failed: int, helpers: Sequence[int]) -> RepairBundle:
         """Simulate a full repair against the stored rows of all nodes."""
-        self._check_repair_args(failed, helpers)
+        self.check_repair_args(failed, helpers)
         symbols = [self.helper_symbol(stored[h], failed) for h in helpers]
         rebuilt = self.repair(failed, helpers, symbols)
         return RepairBundle(
@@ -575,7 +606,7 @@ class PmVandermondeCode(LinearCode):
         return self.enc.phi.row(failed)
 
     def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        self._check_repair_args(failed, helpers)
+        self.check_repair_args(failed, helpers)
         params = self.params
         alpha = params.alpha
         add, mul = params.field.add, params.field.mul

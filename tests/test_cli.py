@@ -1,16 +1,21 @@
 import json
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pmcode import cli
 from pmcode.cli import (
     code_from_descriptor,
     load_descriptor,
     main,
+    read_shard,
     shard_name,
+    write_shard,
 )
 from pmcode.construct import build_sparse_systematic, build_vanilla_systematic
 from pmcode.field import field_of_order
@@ -275,3 +280,79 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "wrote descriptor.json" in result.stdout
+
+
+# magic | descriptor sha256 | node | stripes | payload length, as the cli docstring gives it
+SHARD_HEADER = struct.Struct(">8s32sIQQ")
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [lambda plen, stripes: 3 * plen, lambda plen, stripes: (stripes - 1) * 12,
+     lambda plen, stripes: 0],
+    ids=["tripled", "one-stripe-short", "zero"],
+)
+def test_forged_payload_length_is_rejected(tmp_path, capsys, forge):
+    payload = bytes(random.Random(2).randrange(256) for _ in range(5000))
+    desc_path, shards = _cycle(
+        tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), payload
+    )
+    for i in range(8):
+        path = shards / shard_name(i)
+        raw = bytearray(path.read_bytes())
+        magic, digest, node, stripes, plen = SHARD_HEADER.unpack_from(raw)
+        SHARD_HEADER.pack_into(raw, 0, magic, digest, node, stripes, forge(plen, stripes))
+        path.write_bytes(raw)
+
+    out = tmp_path / "out.bin"
+    assert run("decode", "--descriptor", desc_path, "--shard-dir", shards,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert shard_name(0) in err and "payload length" in err
+    assert not out.exists()
+
+    assert run("repair", "--descriptor", desc_path, "--shard-dir", shards,
+               "--failed", 7, "--out", tmp_path / "rebuilt.shard") == 2
+    err = capsys.readouterr().err
+    assert shard_name(0) in err and "payload length" in err
+
+
+@pytest.mark.parametrize(
+    "failed, helpers, message",
+    [
+        (2, "0,0,1,3,4,5", "need d=6 distinct helpers"),
+        (2, "2,0,1,3,4,5", "failed node 2 cannot help itself"),
+        (2, "0,1,3,4,5,8", "helper 8 of 8"),
+        (8, "0,1,2,3,4,5", "node 8 of 8"),
+    ],
+    ids=["repeated", "failed-node-helps", "helper-out-of-range", "failed-out-of-range"],
+)
+def test_repair_checks_helpers_before_reading_shards(tmp_path, capsys, monkeypatch, failed, helpers, message):
+    desc_path, shards = _cycle(
+        tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), b"payload"
+    )
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a shard was read before the helper list was checked")
+
+    monkeypatch.setattr(cli, "read_shard", no_read)
+    assert run("repair", "--descriptor", desc_path, "--shard-dir", shards,
+               "--failed", failed, "--helpers", helpers) == 2
+    err = capsys.readouterr().err
+    assert f"cannot repair node {failed}" in err and message in err
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_write_shard_layout_and_read_back(tmp_path, q):
+    field = field_of_order(q)
+    stripes, digest = 11, bytes(range(32))
+    wide = np.arange(3 * stripes, dtype=np.int64).reshape(stripes, 3) * 37 % q
+    rows = wide.T.astype(np.uint8) if q == 256 else wide.T  # not C-contiguous
+    dtype = np.uint8 if q == 256 else ">u4"
+    path = tmp_path / "s.shard"
+    write_shard(path, digest, 5, stripes, 30, rows, field)
+    expected = SHARD_HEADER.pack(b"PMSHARD1", digest, 5, stripes, 30) + rows.astype(dtype).tobytes()
+    assert path.read_bytes() == expected
+    node, got_stripes, plen, got = read_shard(path, digest, field, 3)
+    assert (node, got_stripes, plen) == (5, stripes, 30)
+    assert np.array_equal(got, rows)

@@ -1,0 +1,180 @@
+"""The O(n) property check used when building a code, against the exhaustive one.
+
+For distinct nonzero Vandermonde points, properties 1 and 2 hold by
+construction, so the builders only check property 3 (the x^alpha pairwise
+distinct).  These tests run a reference search with the full
+``validate_properties`` on every candidate, and require the same points, the
+same matrices and a passing exhaustive report.
+"""
+
+import pytest
+
+from pmcode import analysis
+from pmcode.cli import code_from_descriptor, descriptor_for
+from pmcode.construct import build_sparse_systematic, choose_prime_encoding, sparsify_encoding
+from pmcode.core import build_params, build_vandermonde_encoding, validate_properties
+from pmcode.errors import DuplicateEvaluationPoint, PropertyViolation
+from pmcode.field import PrimeField, field_of_order
+from pmcode.linalg import Matrix, vandermonde
+
+GF256 = field_of_order(256)
+F11 = field_of_order(11)
+F13 = field_of_order(13)
+
+# every base-regime (n, k), d = 2k-2 <= n-1, with n <= 12
+BASE_REGIME = [(n, k) for n in range(3, 13) for k in range(2, n) if 2 * k - 2 <= n - 1]
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % f for f in range(2, int(q ** 0.5) + 1))
+
+
+def reference_points(params):
+    """First candidate run that passes the full check, with its report.
+
+    Prime fields try 1..n only; GF(2^8) tries the runs s..s+n-1 in order.
+    """
+    field, n, alpha = params.field, params.n, params.alpha
+    starts = [1] if field.kind == "prime" else range(1, field.order - n + 1)
+    for s in starts:
+        xs = list(range(s, s + n))
+        phi = vandermonde(field, xs, alpha)
+        try:
+            return xs, validate_properties(params, phi, phi.column_vector(alpha - 1))
+        except PropertyViolation:
+            continue
+    return None, None
+
+
+def reference_prime(n: int, k: int):
+    """Smallest prime q > n whose points 1..n pass the full check."""
+    q = n + 1
+    while True:
+        if _is_prime(q):
+            params = build_params(n, k, 2 * k - 2, PrimeField(q))
+            xs, report = reference_points(params)
+            if xs is not None:
+                return params, xs, report
+        q += 1
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Count Matrix.rank calls made while the test runs."""
+    calls = []
+    rank = Matrix.rank
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    return calls
+
+
+def _assert_same_as_reference(enc, params, xs, report):
+    assert list(enc.xs) == xs
+    phi = vandermonde(params.field, xs, params.alpha)
+    assert enc.phi == phi
+    assert list(enc.lam) == phi.column_vector(params.alpha - 1)
+    assert report.subsets_full_rank.mode == report.psi_subsets_full_rank.mode == "exhaustive"
+    assert enc.validation == report
+
+
+@pytest.mark.parametrize("n, k", BASE_REGIME)
+def test_gf256_points_match_exhaustive_search(n, k):
+    params = build_params(n, k, 2 * k - 2, GF256)
+    xs, report = reference_points(params)
+    _assert_same_as_reference(build_vandermonde_encoding(params), params, xs, report)
+
+
+@pytest.mark.parametrize("n, k", BASE_REGIME)
+def test_chosen_prime_matches_exhaustive_search(n, k):
+    params, xs, report = reference_prime(n, k)
+    enc = choose_prime_encoding(n, k, 2 * k - 2)
+    assert enc.params.field.q == params.field.q
+    _assert_same_as_reference(enc, params, xs, report)
+
+
+@pytest.mark.parametrize(
+    "n, k, q",
+    [(18, 9, 256), (14, 7, 256), (12, 6, 257)],
+    ids=["18-9-16-gf256", "14-7-12-gf256", "12-6-10-f257"],
+)
+def test_shipped_parents_match_exhaustive_search(n, k, q):
+    params = build_params(n, k, 2 * k - 2, field_of_order(q))
+    xs, report = reference_points(params)
+    _assert_same_as_reference(build_vandermonde_encoding(params), params, xs, report)
+
+
+@pytest.mark.parametrize(
+    "q, xs, which, witness",
+    [
+        (13, [1, 2, 3, 4, 5, 14], 3, (0, 5)),   # 14 repeats 1 in F_13
+        (13, [1, 2, 3, 4, 5, -1], 3, (0, 5)),   # -1 == 12, and 12^2 == 1^2
+        (13, [1, 2, 3, 4, 5, 0], 1, (0, 5)),
+        (13, [0, 1, 2, 3, 4, 5], 1, (0, 1)),
+        (13, [1, 2, 3, 4, 5, 13], 1, (0, 5)),   # 13 is zero in F_13
+        (13, [1, 2, 3, 10, 4, 5], 3, (2, 3)),   # distinct nonzero, 10^2 == 3^2
+    ],
+)
+def test_explicit_points_keep_their_witnesses(q, xs, which, witness):
+    params = build_params(6, 3, 4, field_of_order(q))
+    with pytest.raises(PropertyViolation) as exc:
+        build_vandermonde_encoding(params, xs=xs)
+    assert (exc.value.which, exc.value.witness) == (which, witness)
+
+
+def test_explicit_zero_point_gf256_keeps_its_witness():
+    params = build_params(8, 4, 6, GF256)
+    with pytest.raises(PropertyViolation) as exc:
+        build_vandermonde_encoding(params, xs=[1, 2, 3, 4, 5, 6, 7, 0])
+    assert (exc.value.which, exc.value.witness) == (1, (0, 1, 7))
+
+
+def test_explicit_repeated_point_is_still_rejected_by_vandermonde():
+    with pytest.raises(DuplicateEvaluationPoint):
+        build_vandermonde_encoding(build_params(6, 3, 4, F13), xs=[1, 2, 2, 4, 5, 6])
+
+
+def test_build_makes_no_rank_calls_until_validation_is_read(rank_calls):
+    enc = build_vandermonde_encoding(build_params(8, 4, 6, F11))
+    assert rank_calls == []
+    assert enc.validation.lambdas_distinct
+    assert len(rank_calls) == 56 + 28  # C(8,3) + C(8,6)
+    enc.validation
+    assert len(rank_calls) == 56 + 28  # the report is kept
+
+
+def test_sparsify_keeps_limits_and_checks_nothing(rank_calls):
+    params = build_params(8, 4, 6, F11)
+    enc = build_vandermonde_encoding(params, exhaustive_limit=0, samples=50, seed=123)
+    sparse = sparsify_encoding(enc)
+    assert rank_calls == []
+    rep = sparse.validation
+    assert (rep.subsets_full_rank.mode, rep.subsets_full_rank.cases, rep.seed) == ("sampled", 50, 123)
+    assert rep == validate_properties(params, sparse.phi, list(sparse.lam), 0, 50, 123)
+
+
+def test_paper_code_rebuilds_without_rank_calls(rank_calls):
+    code = build_sparse_systematic(17, 8, 15, field=GF256)
+    desc = descriptor_for(code, "sparse", 0)
+    rank_calls.clear()
+    rebuilt = code_from_descriptor(desc)
+    assert rank_calls == []
+    assert rebuilt.generator == code.generator
+
+
+def test_certify_still_runs_the_exhaustive_check(monkeypatch):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(validate_properties(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(analysis, "validate_properties", recording)
+    code = build_sparse_systematic(8, 4, 6, field=F11)
+    record = analysis.certify(code)
+    check = {c.name: c for c in record.checks}["construction-properties"]
+    assert check.ok and check.mode == "recomputed"
+    assert [r.subsets_full_rank.mode for r in reports] == ["exhaustive"]
