@@ -5,8 +5,9 @@ of a (B x S) array, and every generator row is accumulated term by term over
 its nonzero entries, so encoding cost tracks the generator's nonzero count.
 Over GF(2^8) a term is one ``bytes.translate`` through a product-table row
 plus one XOR, on column chunks of a few MiB; over prime fields it is an
-int64 multiply-accumulate.  The same kernels back the command-line encode,
-repair, and decode paths.
+int64 multiply-accumulate.  The same kernels back the ``LinearCode`` bulk
+methods, which the command-line encode, repair and decode paths call on one
+chunk of ``chunk_stripes`` stripes at a time.
 """
 
 from __future__ import annotations
@@ -278,34 +279,25 @@ def stored_is_systematic_claimed(code: LinearCode) -> bool:
 # bulk kernels
 # ---------------------------------------------------------------------------
 
-_MUL_TABLES: dict = {}
-_TRANSLATE_TABLES: dict = {}
-
-# Source bytes copied per column chunk of the GF(2^8) kernel: small enough to
-# stay cache-resident, large enough that per-call overhead is negligible.
+# Byte budget of the kernel's working arrays: source bytes per column chunk
+# of the GF(2^8) kernel, and input plus output rows per streamed chunk (see
+# ``chunk_stripes``).  Small enough to stay cache-resident, large enough that
+# per-call overhead is negligible.
 _CHUNK_BYTES = 4 << 20
 
 
 def gf256_mul_table(field) -> np.ndarray:
-    """256x256 uint8 product table, cached per modulus polynomial."""
-    table = _MUL_TABLES.get(field.poly)
-    if table is None:
-        exp = np.array(field.exp + field.exp, dtype=np.uint8)  # doubled: no mod needed
-        log = np.array([0] + [field.log[a] for a in range(1, 256)], dtype=np.int64)
-        table = exp[log[:, None] + log[None, :]]
-        table[0, :] = 0
-        table[:, 0] = 0
-        _MUL_TABLES[field.poly] = table
-    return table
+    """256x256 uint8 product table of a GF(2^8) field (read-only)."""
+    return np.frombuffer(b"".join(field.product_tables), dtype=np.uint8).reshape(256, 256)
 
 
-def gf256_translate_tables(field) -> tuple:
-    """Row c of the product table as a ``bytes.translate`` table, per polynomial."""
-    tables = _TRANSLATE_TABLES.get(field.poly)
-    if tables is None:
-        tables = tuple(row.tobytes() for row in gf256_mul_table(field))
-        _TRANSLATE_TABLES[field.poly] = tables
-    return tables
+def chunk_stripes(field, rows_in: int, rows_out: int) -> int:
+    """Stripes per streamed chunk: ``rows_in`` + ``rows_out`` kernel rows fit ``_CHUNK_BYTES``.
+
+    Kernel rows are uint8 over GF(2^8) and int64 over prime fields.
+    """
+    itemsize = 1 if field.kind == "binary8" else 8
+    return max(1, _CHUNK_BYTES // (itemsize * (rows_in + rows_out)))
 
 
 def _row_terms(mat: Matrix, skip_zeros: bool) -> list[list[tuple[int, int]]]:
@@ -320,8 +312,10 @@ def apply_rows_bulk(field, mat: Matrix, data: np.ndarray, skip_zeros: bool = Tru
     GF(2^8) terms run on column chunks of at most ``_CHUNK_BYTES`` source
     bytes: each source row is copied once per chunk, a coefficient c != 1
     costs one ``bytes.translate`` plus one XOR and a unit term one XOR, so
-    every nonzero costs the same.  ``data`` may be any 2-D view, including a
-    transposed one.
+    every nonzero costs the same.  Prime-field data is first made one C-order
+    int64 array (no copy when it already is one); a term c != 1 is then one
+    multiply into a scratch row plus one add, and a unit term one add.
+    ``data`` may be any 2-D view, including a transposed one.
     """
     if data.shape[0] != mat.cols:
         raise DimensionMismatch(f"data has {data.shape[0]} rows, matrix wants {mat.cols}")
@@ -329,7 +323,7 @@ def apply_rows_bulk(field, mat: Matrix, data: np.ndarray, skip_zeros: bool = Tru
     if field.kind == "binary8":
         if data.dtype != np.uint8:
             raise FieldMismatch(f"GF(2^8) stripes must be uint8, got {data.dtype}")
-        tables = gf256_translate_tables(field)
+        tables = field.product_tables
         stripes = data.shape[1]
         out = np.zeros((mat.rows, stripes), dtype=np.uint8)
         width = _CHUNK_BYTES // mat.cols
@@ -344,14 +338,19 @@ def apply_rows_bulk(field, mat: Matrix, data: np.ndarray, skip_zeros: bool = Tru
             del src  # free this chunk's copies before the next chunk's are made
         return out
     q = field.q
+    data = np.ascontiguousarray(data, dtype=np.int64)  # copies only to convert
     # keep partial sums below 2^62 before reducing
     stride = max(1, (1 << 62) // (q * q))
     out = np.zeros((mat.rows, data.shape[1]), dtype=np.int64)
+    prod = np.empty(data.shape[1], dtype=np.int64)
     for r, row_terms in enumerate(terms):
         acc = out[r]
         since_mod = 0
         for j, c in row_terms:
-            acc += c * data[j]
+            if c == 1:
+                acc += data[j]
+            else:
+                acc += np.multiply(data[j], c, out=prod)
             since_mod += 1
             if since_mod >= stride:
                 acc %= q

@@ -20,6 +20,17 @@ files.  Shard files carry a fixed 60-byte header::
 
 followed by alpha rows of ``stripes`` symbols each: 1 byte per symbol for
 the 256-element binary field, u32 big-endian per symbol for prime fields.
+
+``encode``, ``repair`` and ``decode`` stream the stripes in chunks of
+``analysis.chunk_stripes`` stripes, so their peak memory is bounded by the
+chunk, not by the object.  Each chunk is read in place (``readinto`` on the
+input file, one ``preadv`` per stored-row segment of a shard, each shard byte
+once, after a header and file-size check) and each result is written at its
+offset with ``pwrite``.  Every output goes to a temporary file beside it,
+which replaces the destination only after the last chunk and is removed on
+any error, so a failed command leaves no partial output.  The field
+arithmetic is in the ``LinearCode`` bulk methods; this module does file I/O
+and argument handling.
 """
 
 from __future__ import annotations
@@ -27,17 +38,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import secrets
+import stat
 import struct
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
-    apply_rows_bulk,
     benchmark_pair,
     certify,
-    encode_stripes,
+    chunk_stripes,
     sparsity_report,
     underlying_encoding,
 )
@@ -49,7 +63,6 @@ from .construct import (
 )
 from .errors import BadCount, BadHelperCount, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
-from .linalg import Matrix
 
 DESCRIPTOR_FORMAT = "pmcode-descriptor-v1"
 MAGIC = b"PMSHARD1"
@@ -211,33 +224,96 @@ def _stripe_count(payload_len: int, B: int) -> int:
     return max(1, -(-payload_len // B))
 
 
-def write_shard(path, digest: bytes, node: int, stripes: int, payload_len: int, rows: np.ndarray, field) -> None:
-    body = np.ascontiguousarray(rows, dtype=_symbol_dtype(field))  # copies only to convert
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, digest, node, stripes, payload_len))
-        fh.write(body)
+def _pread_into(fd: int, buf: memoryview, offset: int, path) -> None:
+    while buf:
+        got = os.preadv(fd, [buf], offset)
+        if got == 0:
+            raise CliError(f"{path}: shard ended while being read")
+        buf, offset = buf[got:], offset + got
 
 
-def read_shard(path, digest: bytes, field, alpha: int):
-    """Parse and validate one shard; returns (node, stripes, payload_len, rows)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+def _pwrite_all(fd: int, buf: memoryview, offset: int) -> None:
+    while buf:
+        done = os.pwrite(fd, buf, offset)
+        buf, offset = buf[done:], offset + done
+
+
+def _read_header(fd: int, path, digest: bytes, field, alpha: int) -> tuple[int, int, int]:
+    """Check a shard's header and file size; returns (node, stripes, payload_len)."""
+    head = os.pread(fd, _HEADER.size, 0)
+    if len(head) < _HEADER.size:
         raise CliError(f"{path}: truncated shard header")
-    magic, got_digest, node, stripes, payload_len = _HEADER.unpack_from(raw)
+    magic, got_digest, node, stripes, payload_len = _HEADER.unpack(head)
     if magic != MAGIC:
         raise CliError(f"{path}: not a shard file")
     if got_digest != digest:
         raise CliError(f"{path}: shard belongs to a different descriptor")
-    body = memoryview(raw)[_HEADER.size :]
-    dtype = _symbol_dtype(field)
-    expected = alpha * stripes * dtype.itemsize
-    if len(body) != expected:
-        raise CliError(f"{path}: shard body is {len(body)} bytes, expected {expected}")
-    rows = np.frombuffer(body, dtype=dtype).reshape(alpha, stripes)
+    body = os.fstat(fd).st_size - _HEADER.size
+    expected = alpha * stripes * _symbol_dtype(field).itemsize
+    if body != expected:
+        raise CliError(f"{path}: shard body is {body} bytes, expected {expected}")
+    return node, stripes, payload_len
+
+
+def _read_rows(fd: int, path, out: np.ndarray, stripes: int, s0: int, field) -> None:
+    """Fill ``out`` (alpha x w, symbol dtype) with stripes s0..s0+w of each stored row."""
+    size = out.itemsize
+    for r in range(out.shape[0]):
+        _pread_into(fd, memoryview(out[r].view(np.uint8)), _HEADER.size + (r * stripes + s0) * size, path)
+    if field.kind != "binary8" and out.max(initial=0) >= field.q:
+        raise CliError(f"{path}: symbol out of field range")
+
+
+def _write_header(fd: int, digest: bytes, node: int, stripes: int, payload_len: int) -> None:
+    _pwrite_all(fd, memoryview(_HEADER.pack(MAGIC, digest, node, stripes, payload_len)), 0)
+
+
+def _write_rows(fd: int, rows: np.ndarray, stripes: int, s0: int, field) -> None:
+    """Store ``rows`` (alpha x w) as stripes s0..s0+w of each stored row."""
+    body = np.ascontiguousarray(rows, dtype=_symbol_dtype(field))  # copies only to convert
+    for r in range(body.shape[0]):
+        _pwrite_all(fd, memoryview(body[r].view(np.uint8)), _HEADER.size + (r * stripes + s0) * body.itemsize)
+
+
+@contextmanager
+def _atomic_output(path):
+    """Yield the descriptor of a new temporary file beside ``path``.
+
+    The file replaces ``path`` when the block completes and is removed when
+    it raises, so a failed command never leaves a partial output behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            yield fd
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_shard(path, digest: bytes, node: int, stripes: int, payload_len: int, rows: np.ndarray, field) -> None:
+    """Write one whole shard: the header, then ``rows`` (alpha x stripes)."""
+    with _atomic_output(path) as fd:
+        _write_header(fd, digest, node, stripes, payload_len)
+        _write_rows(fd, rows, stripes, 0, field)
+
+
+def read_shard(path, digest: bytes, field, alpha: int):
+    """Parse and validate one whole shard; returns (node, stripes, payload_len, rows)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        node, stripes, payload_len = _read_header(fd, path, digest, field, alpha)
+        rows = np.empty((alpha, stripes), dtype=_symbol_dtype(field))
+        _read_rows(fd, path, rows, stripes, 0, field)
+    finally:
+        os.close(fd)
     if field.kind != "binary8":
         rows = rows.astype(np.int64)
-        if rows.max(initial=0) >= field.q:
-            raise CliError(f"{path}: symbol out of field range")
     return node, stripes, payload_len, rows
 
 
@@ -253,29 +329,49 @@ def _scan_shards(shard_dir) -> dict[int, Path]:
     return found
 
 
-def _read_nodes(shard_dir, shards: dict, ids, digest: bytes, params, role: str):
-    """Yield (stripes, payload_len, rows) for each id in turn.
+def _open_nodes(stack: ExitStack, shard_dir, shards: dict, ids, digest: bytes, params, role: str):
+    """Open and check the shard of each id; returns ([(path, fd)], stripes, payload_len).
 
     Every header must name its node and agree with the first shard's
-    geometry, whose payload length must fit its stripe count.
+    geometry, whose payload length must fit its stripe count.  The
+    descriptors close when ``stack`` does.
     """
-    geometry = None
+    sources, geometry = [], None
     for i in ids:
         if i not in shards:
             raise CliError(f"{role} {i} has no shard in {shard_dir}")
-        node, stripes, payload_len, rows = read_shard(shards[i], digest, params.field, params.alpha)
+        path = shards[i]
+        fd = os.open(path, os.O_RDONLY)
+        stack.callback(os.close, fd)
+        node, stripes, payload_len = _read_header(fd, path, digest, params.field, params.alpha)
         if node != i:
-            raise CliError(f"{shards[i]}: header says node {node}")
+            raise CliError(f"{path}: header says node {node}")
         if geometry is None:
             if stripes != _stripe_count(payload_len, params.B):
                 raise CliError(
-                    f"{shards[i]}: payload length {payload_len} does not fit "
+                    f"{path}: payload length {payload_len} does not fit "
                     f"{stripes} stripes of {params.B} bytes"
                 )
             geometry = (stripes, payload_len)
         elif (stripes, payload_len) != geometry:
-            raise CliError(f"{shards[i]}: stripe geometry differs from other {role}s")
-        yield stripes, payload_len, rows
+            raise CliError(f"{path}: stripe geometry differs from other {role}s")
+        sources.append((path, fd))
+    return sources, *geometry
+
+
+def _stream_rows(sources, params, stripes: int, rows_out: int):
+    """Yield (s0, rows): stripes s0..s0+w of every source's rows, stacked in order.
+
+    Each chunk holds as many stripes as ``chunk_stripes`` allows for the
+    stacked rows plus ``rows_out`` result rows; each shard byte is read once.
+    """
+    alpha = params.alpha
+    width = chunk_stripes(params.field, len(sources) * alpha, rows_out)
+    for s0 in range(0, stripes, width):
+        rows = np.empty((len(sources) * alpha, min(width, stripes - s0)), dtype=_symbol_dtype(params.field))
+        for i, (path, fd) in enumerate(sources):
+            _read_rows(fd, path, rows[i * alpha : (i + 1) * alpha], stripes, s0, params.field)
+        yield s0, rows
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -304,10 +400,12 @@ def cmd_gen(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = generation_artifacts(code)
-    for name, text in artifacts.items():
-        (out / name).write_text(text)
     desc = descriptor_for(code, args.construction, args.seed)
-    (out / "descriptor.json").write_bytes(descriptor_bytes(desc))
+    files = {name: text.encode() for name, text in artifacts.items()}
+    files["descriptor.json"] = descriptor_bytes(desc)
+    for name, raw in files.items():
+        with _atomic_output(out / name) as fd:
+            _pwrite_all(fd, memoryview(raw), 0)
     p = code.params
     print(
         f"wrote descriptor.json, {', '.join(artifacts)} to {out} "
@@ -321,22 +419,27 @@ def cmd_encode(args) -> int:
     code = code_from_descriptor(desc)
     p = code.params
     _data_symbols_per_byte_check(p.field)
-    data = Path(args.data).read_bytes()
-    stripes = _stripe_count(len(data), p.B)
-    padded = data.ljust(stripes * p.B, b"\0")
-    arr = np.frombuffer(padded, dtype=np.uint8).reshape(stripes, p.B).T
-    if p.field.kind != "binary8":
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-    out_rows = encode_stripes(code, arr)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    alpha = p.alpha
-    for i in range(p.n):
-        write_shard(
-            out / shard_name(i), digest, i, stripes, len(data),
-            out_rows[i * alpha : (i + 1) * alpha], p.field,
-        )
-    print(f"encoded {len(data)} bytes into {p.n} shards of {stripes} stripes in {out}")
+    with open(args.data, "rb", buffering=0) as src, ExitStack() as stack:
+        st = os.fstat(src.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise CliError(f"{args.data}: not a regular file; the stripe count needs its size up front")
+        size = st.st_size
+        out.mkdir(parents=True, exist_ok=True)
+        stripes = _stripe_count(size, p.B)
+        shards = [stack.enter_context(_atomic_output(out / shard_name(i))) for i in range(p.n)]
+        for i, fd in enumerate(shards):
+            _write_header(fd, digest, i, stripes, size)
+        width = chunk_stripes(p.field, p.B, p.n * p.alpha)
+        for s0 in range(0, stripes, width):
+            chunk = np.zeros((min(width, stripes - s0), p.B), dtype=np.uint8)  # zeros pad the last stripe
+            want = min(chunk.size, size - s0 * p.B)
+            if want > 0 and src.readinto(memoryview(chunk.reshape(-1))[:want]) != want:
+                raise CliError(f"{args.data}: file changed while being encoded")
+            rows = code.encode_bulk(chunk.T)
+            for i, fd in enumerate(shards):
+                _write_rows(fd, rows[i * p.alpha : (i + 1) * p.alpha], stripes, s0, p.field)
+    print(f"encoded {size} bytes into {p.n} shards of {stripes} stripes in {out}")
     return 0
 
 
@@ -354,14 +457,13 @@ def cmd_repair(args) -> int:
         code.check_repair_args(failed, helpers)
     except (BadHelperCount, IndexOutOfRange) as exc:
         raise CliError(f"cannot repair node {failed}: {exc}") from exc
-    transfers = []
-    rv = Matrix(p.field, [code.repair_vector(failed)])
-    for stripes, payload_len, rows in _read_nodes(args.shard_dir, shards, helpers, digest, p, "helper"):
-        transfers.append(apply_rows_bulk(p.field, rv, rows)[0])
-    t = code.repair_matrix(failed, helpers)
-    rebuilt = apply_rows_bulk(p.field, t, np.array(transfers))
     out = Path(args.out or Path(args.shard_dir) / shard_name(failed))
-    write_shard(out, digest, failed, stripes, payload_len, rebuilt, p.field)
+    with ExitStack() as stack:
+        sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, helpers, digest, p, "helper")
+        fd = stack.enter_context(_atomic_output(out))
+        _write_header(fd, digest, failed, stripes, payload_len)
+        for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.d + p.alpha):
+            _write_rows(fd, code.repair_bulk(failed, helpers, rows), stripes, s0, p.field)
     print(f"rebuilt node {failed} from helpers {','.join(str(h) for h in helpers)} -> {out}")
     return 0
 
@@ -378,15 +480,16 @@ def cmd_decode(args) -> int:
         code.check_decode_args(ids)
     except (BadCount, IndexOutOfRange) as exc:
         raise CliError(f"bad node list {args.nodes!r}: {exc}") from exc
-    stacked = []
-    for _, payload_len, rows in _read_nodes(args.shard_dir, shards, ids, digest, p, "node"):
-        stacked.append(rows)
-    block = Matrix.vstack([code.node_block(i) for i in ids])
-    message = apply_rows_bulk(p.field, block.inverse(), np.vstack(stacked))
-    if message.max(initial=0) > 255:
-        raise CliError("decoded symbols exceed byte range; shards are inconsistent")
-    data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)
-    Path(args.out).write_bytes(memoryview(data)[:payload_len])
+    with ExitStack() as stack:
+        sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
+        fd = stack.enter_context(_atomic_output(args.out))
+        for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.B):
+            message = code.decode_bulk(ids, rows)
+            if message.max(initial=0) > 255:
+                raise CliError("decoded symbols exceed byte range; shards are inconsistent")
+            data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)
+            # the header check makes this positive for all but an empty payload
+            _pwrite_all(fd, memoryview(data)[: payload_len - s0 * p.B], s0 * p.B)
     print(f"decoded {payload_len} bytes from nodes {','.join(str(i) for i in ids)} -> {args.out}")
     return 0
 

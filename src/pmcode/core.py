@@ -482,6 +482,7 @@ class LinearCode:
         self.params = params
         self.generator = generator
         self.label = label or f"code {params}"
+        self._bulk_matrices: dict = {}  # node set -> the matrices the bulk methods apply
 
     # -- encoding ----------------------------------------------------------
 
@@ -580,13 +581,66 @@ class LinearCode:
         for r in rows:
             if len(r) != alpha:
                 raise LengthMismatch(f"stored row has {len(r)} symbols, expected {alpha}")
-        block = Matrix.vstack([self.node_block(i) for i in ids])
-        try:
-            inv = block.inverse()
-        except Singular as exc:
-            raise Singular(f"nodes {list(ids)} do not determine the message") from exc
         flat = [x for r in rows for x in r]
-        return inv.mul_vector(flat)
+        return self._decode_matrix(ids).mul_vector(flat)
+
+    def _decode_matrix(self, ids: Sequence[int]) -> Matrix:
+        """B x k*alpha inverse of the stacked node blocks of ``ids``, computed once per node list."""
+        key = ("decode", tuple(ids))
+        if key not in self._bulk_matrices:
+            block = Matrix.vstack([self.node_block(i) for i in ids])
+            try:
+                self._bulk_matrices[key] = block.inverse()
+            except Singular as exc:
+                raise Singular(f"nodes {list(ids)} do not determine the message") from exc
+        return self._bulk_matrices[key]
+
+    def _repair_matrices(self, failed: int, helpers: Sequence[int]) -> tuple[Matrix, Matrix]:
+        """(d x d*alpha transfer, alpha x d rebuild) matrices, computed once per helper list.
+
+        Row h of the transfer matrix dots helper h's alpha stored rows with
+        the repair vector: the one symbol per stripe that helper sends.
+        """
+        key = ("repair", failed, tuple(helpers))
+        if key not in self._bulk_matrices:
+            self.check_repair_args(failed, helpers)
+            p = self.params
+            vec = self.repair_vector(failed)
+            transfer = Matrix.zeros(p.field, p.d, p.d * p.alpha)
+            for h in range(p.d):
+                transfer.data[h][h * p.alpha : (h + 1) * p.alpha] = vec
+            self._bulk_matrices[key] = (transfer, self.repair_matrix(failed, helpers))
+        return self._bulk_matrices[key]
+
+    # -- bulk paths ----------------------------------------------------------
+    #
+    # One stripe per column: these apply the code's matrices to a chunk of
+    # stripes through the kernel in pmcode.analysis (imported on call, since
+    # analysis imports this module).  The per-stripe methods above are the
+    # exact reference the bulk paths are tested against.
+
+    def encode_bulk(self, data):
+        """All node contents, (n*alpha x S), of a (B x S) chunk of message stripes."""
+        from .analysis import apply_rows_bulk
+
+        return apply_rows_bulk(self.params.field, self.generator, data)
+
+    def repair_bulk(self, failed: int, helpers: Sequence[int], rows):
+        """The failed node's (alpha x S) rows from the helpers' rows, stacked
+        in helper order as a (d*alpha x S) array."""
+        from .analysis import apply_rows_bulk
+
+        transfer, rebuild = self._repair_matrices(failed, helpers)
+        field = self.params.field
+        return apply_rows_bulk(field, rebuild, apply_rows_bulk(field, transfer, rows))
+
+    def decode_bulk(self, ids: Sequence[int], rows):
+        """The (B x S) message stripes from the rows of nodes ``ids``, stacked
+        in that order as a (k*alpha x S) array."""
+        from .analysis import apply_rows_bulk
+
+        self.check_decode_args(ids)
+        return apply_rows_bulk(self.params.field, self._decode_matrix(ids), rows)
 
 
 class PmVandermondeCode(LinearCode):

@@ -7,6 +7,8 @@ object only carries the arithmetic.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import ZeroInverse
 
 GF256_DEFAULT_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
@@ -149,6 +151,18 @@ class BinaryField:
             if period == 255:
                 return g
         raise ValueError(f"no primitive element found for polynomial {self.poly:#x}")
+
+    @cached_property
+    def product_tables(self) -> tuple:
+        """Row c of the product table as 256 bytes: ``row.translate``-able, row[x] = c*x."""
+        exp2 = bytes(self.exp + self.exp)  # doubled: no mod needed
+        logs = bytes([0] + self.log[1:])
+        tables = [bytes(256)]
+        for c in range(1, 256):
+            lc = self.log[c]
+            # row[x] = exp[log c + log x] for x != 0, i.e. logs mapped through a rotated exp
+            tables.append(b"\0" + logs.translate(exp2[lc : lc + 255] + b"\0")[1:])
+        return tuple(tables)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

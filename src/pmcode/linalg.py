@@ -282,18 +282,18 @@ def _matmul_prime(a, b, q):
 
 
 def _matmul_gf256(a, b, field):
-    exp, log = field.exp, field.log
-    bt = list(zip(*b))
+    # out row = XOR over x = a[i][j] != 0 of b's row j scaled by x; a scaled
+    # row is one bytes.translate, and the XOR runs on the rows read as ints
+    tables = field.product_tables
+    width = len(b[0])
+    brows = [bytes(row) for row in b]
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc ^= exp[(log[x] + log[y]) % 255]
-            orow.append(acc)
-        out.append(orow)
+        acc = 0
+        for x, brow in zip(row, brows):
+            if x:
+                acc ^= int.from_bytes(brow if x == 1 else brow.translate(tables[x]), "big")
+        out.append(list(acc.to_bytes(width, "big")))
     return out
 
 

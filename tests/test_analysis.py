@@ -220,6 +220,19 @@ def test_apply_rows_bulk_prime_c_and_f_order_agree():
     assert np.array_equal(out, _per_symbol(field, mat, c_order))
 
 
+@pytest.mark.parametrize("skip_zeros", [True, False])
+def test_apply_rows_bulk_prime_unit_terms_and_narrow_input(skip_zeros):
+    # unit terms skip the multiply; uint8 and big-endian u32 inputs are widened once
+    field = field_of_order(257)
+    rng = random.Random(5)
+    mat = Matrix(field, [[rng.choice([0, 1, 1, 256, rng.randrange(257)]) for _ in range(6)] for _ in range(7)])
+    wide = random_stripes(field, 6, 33, seed=6)
+    expected = _per_symbol(field, mat, wide)
+    for data in (wide, wide.astype(">u4"), (wide % 256).astype(np.uint8).T.copy().T):
+        want = expected if data.dtype != np.uint8 else _per_symbol(field, mat, data)
+        assert np.array_equal(apply_rows_bulk(field, mat, data, skip_zeros=skip_zeros), want)
+
+
 def test_apply_rows_bulk_skip_and_dense_identical():
     field = field_of_order(256)
     code = build_sparse_systematic(8, 4, 6, field=field)

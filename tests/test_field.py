@@ -81,6 +81,14 @@ def test_gf256_tables_match_bitwise_multiply_everywhere():
             assert f.mul(a, b) == gf256_mul_bitwise(a, b)
 
 
+@pytest.mark.parametrize("poly", [0x11D, 0x11B])
+def test_gf256_product_tables_match_bitwise_multiply_everywhere(poly):
+    tables = BinaryField(poly).product_tables
+    assert len(tables) == 256 and all(len(row) == 256 for row in tables)
+    for a in range(256):
+        assert list(tables[a]) == [gf256_mul_bitwise(a, b, poly) for b in range(256)]
+
+
 def test_gf256_inverse_exhaustive():
     f = BinaryField()
     for a in range(1, 256):

@@ -51,6 +51,19 @@ def test_matmul_matches_schoolbook(field):
         assert (a @ b) == schoolbook_matmul(field, a, b)
 
 
+def test_gf256_matmul_with_zero_and_unit_entries_matches_schoolbook():
+    # zeros and ones take their own branches; zero leading bytes must survive
+    rng = random.Random(7)
+    for _ in range(10):
+        r, m, c = rng.randrange(1, 20), rng.randrange(1, 20), rng.randrange(1, 20)
+        pick = lambda: rng.choice([0, 0, 1, rng.randrange(256)])
+        a = Matrix(GF256, [[pick() for _ in range(m)] for _ in range(r)])
+        b = Matrix(GF256, [[pick() for _ in range(c)] for _ in range(m)])
+        assert (a @ b) == schoolbook_matmul(GF256, a, b)
+    zero_lead = Matrix(GF256, [[0, 5], [0, 1]])
+    assert (Matrix(GF256, [[1, 0]]) @ zero_lead).data == [[0, 5]]
+
+
 @pytest.mark.parametrize("field", [F11, GF256], ids=["F11", "GF256"])
 def test_mul_vector_matches_matmul(field):
     rng = random.Random(3)

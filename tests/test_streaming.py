@@ -1,0 +1,342 @@
+"""Chunked encode/repair/decode: bulk methods, chunk edges, atomic outputs, memory."""
+
+import builtins
+import io
+import os
+import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pmcode
+from pmcode import analysis, cli
+from pmcode.analysis import chunk_stripes, encode_stripes, random_stripes
+from pmcode.cli import main, shard_name
+from pmcode.construct import build_sparse_systematic
+from pmcode.core import LinearCode
+from pmcode.field import field_of_order
+
+CHUNK = 4  # stripes per chunk in the edge tests
+HEADER = struct.Struct(">8s32sIQQ")
+
+
+def run(*argv) -> int:
+    return main([str(a) for a in argv])
+
+
+def set_chunk(monkeypatch, field, rows_in, rows_out, stripes=CHUNK):
+    """Patch the kernel budget so a chunk of rows_in + rows_out rows holds ``stripes`` stripes."""
+    itemsize = 1 if field.kind == "binary8" else 8
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", itemsize * (rows_in + rows_out) * stripes)
+    assert chunk_stripes(field, rows_in, rows_out) == stripes
+
+
+def shard_rows(path, field, alpha):
+    raw = Path(path).read_bytes()
+    _, _, node, stripes, plen = HEADER.unpack_from(raw)
+    dtype = np.uint8 if field.kind == "binary8" else ">u4"
+    return node, stripes, plen, np.frombuffer(raw[HEADER.size :], dtype=dtype).reshape(alpha, stripes)
+
+
+def test_chunk_stripes_fits_the_budget(monkeypatch):
+    gf, fp = field_of_order(256), field_of_order(257)
+    budget = analysis._CHUNK_BYTES
+    assert chunk_stripes(gf, 36, 78) == budget // 114
+    assert chunk_stripes(fp, 30, 60) == budget // 720
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 10)
+    assert chunk_stripes(fp, 30, 60) == 1  # never zero
+
+
+# ---------------------------------------------------------------------------
+# bulk methods against the per-stripe reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_bulk_methods_match_per_stripe_paths(q):
+    code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
+    p = code.params
+    data = random_stripes(p.field, p.B, 9, seed=q)
+    stored = code.encode_bulk(data)
+    assert np.array_equal(stored, encode_stripes(code, data))
+    columns = [[int(x) for x in data[:, s]] for s in range(9)]
+    for s, m in enumerate(columns):
+        assert [int(x) for x in stored[:, s]] == code.encode_message(m)
+
+    def node_rows(i):
+        return stored[i * p.alpha : (i + 1) * p.alpha]
+
+    failed, helpers = 6, [0, 2, 3, 4, 5, 7]
+    rebuilt = code.repair_bulk(failed, helpers, np.vstack([node_rows(h) for h in helpers]))
+    assert np.array_equal(rebuilt, node_rows(failed))
+    for s, m in enumerate(columns):
+        bundle = code.run_repair(code.stored_rows(m), failed, helpers)
+        assert list(bundle.rebuilt) == [int(x) for x in rebuilt[:, s]]
+
+    ids = [1, 4, 6, 7]
+    message = code.decode_bulk(ids, np.vstack([node_rows(i) for i in ids]))
+    assert np.array_equal(message, data)
+    for s, m in enumerate(columns):
+        rows = [[int(x) for x in node_rows(i)[:, s]] for i in ids]
+        assert code.decode(ids, rows) == m
+
+
+def test_bulk_matrices_are_built_once_per_node_set(monkeypatch):
+    code = build_sparse_systematic(8, 4, 6, field=field_of_order(256))
+    p = code.params
+    calls = []
+    real = type(code).repair_matrix
+    monkeypatch.setattr(type(code), "repair_matrix", lambda self, f, h: calls.append(f) or real(self, f, h))
+    rows = random_stripes(p.field, p.d * p.alpha, 5, seed=1)
+    for _ in range(3):
+        code.repair_bulk(0, [1, 2, 3, 4, 5, 6], rows)
+    assert calls == [0]
+    code.repair_bulk(0, [1, 2, 3, 4, 5, 7], rows)
+    assert calls == [0, 0]
+    inverses = {id(code._decode_matrix([0, 1, 2, 3])) for _ in range(3)}
+    assert len(inverses) == 1
+
+
+# ---------------------------------------------------------------------------
+# chunk edges through the command line
+# ---------------------------------------------------------------------------
+
+def _payload_sizes(B):
+    return [0, 1, B - 1, B, (CHUNK - 1) * B, CHUNK * B, (CHUNK + 1) * B, 3 * CHUNK * B + 5]
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_chunk_edges_match_whole_array_oracle(tmp_path, monkeypatch, q):
+    gen = tmp_path / "code"
+    field_args = ["--gf256"] if q == 256 else ["--q", "257"]
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, *field_args, "--out-dir", gen) == 0
+    desc = gen / "descriptor.json"
+    code = cli.code_from_descriptor(cli.load_descriptor(desc)[0])
+    p = code.params
+    rng = random.Random(q)
+    for size in _payload_sizes(p.B):
+        payload = rng.randbytes(size)
+        data, shards = tmp_path / f"{size}.bin", tmp_path / f"shards{size}"
+        data.write_bytes(payload)
+
+        set_chunk(monkeypatch, p.field, p.B, p.n * p.alpha)
+        assert run("encode", "--descriptor", desc, "--data", data, "--out-dir", shards) == 0
+        stripes = max(1, -(-size // p.B))
+        message = np.frombuffer(payload.ljust(stripes * p.B, b"\0"), dtype=np.uint8).reshape(stripes, p.B).T
+        if q != 256:
+            message = message.astype(np.int64)
+        expected = encode_stripes(code, message)
+        for i in range(p.n):
+            node, got_stripes, plen, rows = shard_rows(shards / shard_name(i), p.field, p.alpha)
+            assert (node, got_stripes, plen) == (i, stripes, size)
+            assert np.array_equal(rows, expected[i * p.alpha : (i + 1) * p.alpha])
+
+        set_chunk(monkeypatch, p.field, p.d * p.alpha, p.d + p.alpha)
+        for failed in (0, 7):
+            out = tmp_path / f"rebuilt{size}_{failed}.shard"
+            assert run("repair", "--descriptor", desc, "--shard-dir", shards,
+                       "--failed", failed, "--out", out) == 0
+            assert out.read_bytes() == (shards / shard_name(failed)).read_bytes()
+
+        set_chunk(monkeypatch, p.field, p.k * p.alpha, p.B)
+        ids = [1, 4, 6, 7]
+        out = tmp_path / f"decoded{size}.bin"
+        assert run("decode", "--descriptor", desc, "--shard-dir", shards,
+                   "--nodes", ",".join(map(str, ids)), "--out", out) == 0
+        assert out.read_bytes() == payload
+        rows = {i: shard_rows(shards / shard_name(i), p.field, p.alpha)[3] for i in ids}
+        for s in range(stripes):
+            column = code.decode(ids, [[int(x) for x in rows[i][:, s]] for i in ids])
+            assert bytes(column)[: max(0, size - s * p.B)] == payload[s * p.B : (s + 1) * p.B]
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs
+# ---------------------------------------------------------------------------
+
+def _prime_cycle(tmp_path, monkeypatch, stripes=5 * CHUNK):
+    gen = tmp_path / "code"
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, "--q", 257, "--out-dir", gen) == 0
+    desc = gen / "descriptor.json"
+    code = cli.code_from_descriptor(cli.load_descriptor(desc)[0])
+    p = code.params
+    data, shards = tmp_path / "data.bin", tmp_path / "shards"
+    data.write_bytes(random.Random(4).randbytes(stripes * p.B - 3))
+    assert run("encode", "--descriptor", desc, "--data", data, "--out-dir", shards) == 0
+    return desc, shards, p
+
+
+def _poke_last_stripe(path, value):
+    """Overwrite the last symbol of row 0 (u32 big-endian), which only the last chunk reads."""
+    raw = bytearray(path.read_bytes())
+    stripes = HEADER.unpack_from(raw)[3]
+    struct.pack_into(">I", raw, HEADER.size + 4 * (stripes - 1), value)
+    path.write_bytes(raw)
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in Path(directory).iterdir() if p.name.endswith(".tmp"))
+
+
+@pytest.mark.parametrize(
+    "node, value, message",
+    [(0, 0xFFFFFFFF, "symbol out of field range"), (0, 256, "exceed byte range")],
+    ids=["symbol-above-q", "decoded-above-255"],
+)
+def test_decode_fails_in_last_chunk_without_output(tmp_path, monkeypatch, capsys, node, value, message):
+    desc, shards, p = _prime_cycle(tmp_path, monkeypatch)
+    _poke_last_stripe(shards / shard_name(node), value)
+    set_chunk(monkeypatch, p.field, p.k * p.alpha, p.B)
+    out = tmp_path / "out" / "decoded.bin"
+    out.parent.mkdir()
+    assert run("decode", "--descriptor", desc, "--shard-dir", shards, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert list(out.parent.iterdir()) == []
+
+    # an existing file at --out is left as it was
+    out.write_bytes(b"previous contents")
+    assert run("decode", "--descriptor", desc, "--shard-dir", shards, "--out", out) == 2
+    assert out.read_bytes() == b"previous contents"
+    assert _leftovers(out.parent) == []
+
+
+def test_repair_fails_in_last_chunk_without_output(tmp_path, monkeypatch, capsys):
+    desc, shards, p = _prime_cycle(tmp_path, monkeypatch)
+    _poke_last_stripe(shards / shard_name(3), 0xFFFFFFFF)
+    (shards / shard_name(7)).unlink()
+    set_chunk(monkeypatch, p.field, p.d * p.alpha, p.d + p.alpha)
+    assert run("repair", "--descriptor", desc, "--shard-dir", shards, "--failed", 7) == 2
+    assert "symbol out of field range" in capsys.readouterr().err
+    assert not (shards / shard_name(7)).exists()
+    assert _leftovers(shards) == []
+
+
+def test_encode_failure_leaves_no_shards(tmp_path, monkeypatch, capsys):
+    gen = tmp_path / "code"
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, "--gf256", "--out-dir", gen) == 0
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(500))
+    calls = []
+
+    def failing_encode(self, chunk):
+        calls.append(chunk.shape)
+        if len(calls) == 3:
+            raise cli.CliError("injected failure")
+        return real(self, chunk)
+
+    real = LinearCode.encode_bulk
+    monkeypatch.setattr(LinearCode, "encode_bulk", failing_encode)
+    set_chunk(monkeypatch, field_of_order(256), 12, 24)  # B=12, n*alpha=24
+    out = tmp_path / "shards"
+    assert run("encode", "--descriptor", gen / "descriptor.json", "--data", data, "--out-dir", out) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_encode_refuses_input_without_a_size(tmp_path, capsys):
+    gen = tmp_path / "code"
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, "--gf256", "--out-dir", gen) == 0
+    out = tmp_path / "shards"
+    assert run("encode", "--descriptor", gen / "descriptor.json", "--data", os.devnull, "--out-dir", out) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# repair opens no shard before the helper list is checked
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "failed, helpers",
+    [(2, "0,1,3,4,5,6"), (2, "0,0,1,3,4,5"), (2, "2,0,1,3,4,5"), (2, "0,1,3,4,5,8"), (8, "0,1,2,3,4,5")],
+    ids=["valid", "repeated", "failed-node-helps", "helper-out-of-range", "failed-out-of-range"],
+)
+def test_repair_opens_no_shard_before_checking_helpers(tmp_path, monkeypatch, failed, helpers):
+    gen = tmp_path / "code"
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, "--gf256", "--out-dir", gen) == 0
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"payload" * 50)
+    shards = tmp_path / "shards"
+    assert run("encode", "--descriptor", gen / "descriptor.json", "--data", data, "--out-dir", shards) == 0
+
+    events = []
+    real_check = LinearCode.check_repair_args
+    real_os_open, real_io_open = os.open, io.open
+
+    def check(self, f, h):
+        events.append("check")
+        return real_check(self, f, h)
+
+    def opened(path):
+        if str(path).endswith(".shard"):
+            events.append(f"open {Path(path).name}")
+
+    def os_open(path, *args, **kwargs):
+        opened(path)
+        return real_os_open(path, *args, **kwargs)
+
+    def io_open(file, *args, **kwargs):
+        opened(file)
+        return real_io_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "check_repair_args", check)
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr(builtins, "open", io_open)
+    code = run("repair", "--descriptor", gen / "descriptor.json", "--shard-dir", shards,
+               "--failed", failed, "--helpers", helpers, "--out", tmp_path / "rebuilt.shard")
+    assert events and events[0] == "check"
+    if helpers == "0,1,3,4,5,6":
+        assert code == 0 and len([e for e in events if e.startswith("open")]) == 6
+    else:
+        assert code == 2 and events == ["check"]
+
+
+# ---------------------------------------------------------------------------
+# peak memory does not grow with the object
+# ---------------------------------------------------------------------------
+
+# A child's peak RSS starts from its parent's at exec, so a small launcher
+# process runs each command and reports the command's ru_maxrss from os.wait4.
+_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(p.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _peak_rss_kib(*argv) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(pmcode.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "pmcode.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    status, maxrss = result.stdout.split()
+    assert status == "0", result.stderr
+    return int(maxrss)
+
+
+def test_peak_rss_does_not_grow_with_the_object(tmp_path):
+    gen = tmp_path / "code"
+    assert run("gen", "--n", 12, "--k", 6, "--d", 10, "--q", 257, "--out-dir", gen) == 0
+    desc = gen / "descriptor.json"
+    peaks = {}
+    for mib in (8, 24):
+        data = tmp_path / f"{mib}.bin"
+        data.write_bytes(random.Random(mib).randbytes(mib << 20))
+        shards, out = tmp_path / f"shards{mib}", tmp_path / f"out{mib}.bin"
+        encode = _peak_rss_kib("encode", "--descriptor", desc, "--data", data, "--out-dir", shards)
+        decode = _peak_rss_kib("decode", "--descriptor", desc, "--shard-dir", shards,
+                               "--nodes", "6,7,8,9,10,11", "--out", out)
+        assert out.read_bytes() == data.read_bytes()
+        peaks[mib] = (encode, decode)
+        data.unlink()
+        out.unlink()
+    for small, large in zip(peaks[8], peaks[24]):
+        assert abs(large - small) < 10 * 1024, peaks
