@@ -5,9 +5,10 @@ of a (B x S) array, and every generator row is accumulated term by term over
 its nonzero entries, so encoding cost tracks the generator's nonzero count.
 Over GF(2^8) a term is one ``bytes.translate`` through a product-table row
 plus one XOR, on column chunks of a few MiB; over prime fields it is an
-int64 multiply-accumulate.  The same kernels back the ``LinearCode`` bulk
-methods, which the command-line encode, repair and decode paths call on one
-chunk of ``chunk_stripes`` stripes at a time.
+int64 multiply-accumulate.  The same kernels back ``encode_stripes`` and the
+``LinearCode`` bulk repair and decode methods, which the command-line
+encode, repair and decode paths call on one chunk of ``chunk_stripes``
+stripes at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
+from .construct import ShortenedCode
 from .core import (
     LinearCode,
     PmVandermondeCode,
@@ -162,13 +163,9 @@ class CertificationRecord:
 
 def underlying_encoding(code: LinearCode):
     """Walk wrapper chains down to the direct construction, if there is one."""
-    seen = set()
-    while id(code) not in seen:
-        seen.add(id(code))
-        if isinstance(code, PmVandermondeCode):
-            return code.enc
-        code = getattr(code, "base", None) or getattr(code, "parent", None) or code
-    return None
+    while code is not None and not isinstance(code, PmVandermondeCode):
+        code = getattr(code, "base", None) or getattr(code, "parent", None)
+    return None if code is None else code.enc
 
 
 def _subset_cases(n: int, size: int, limit: int, samples: int, rng: random.Random):
@@ -253,7 +250,7 @@ def certify(
     checks.append(CheckResult("repair-exact", mode, len(repair_cases), tuple(bad)))
 
     perm = getattr(code, "column_permutation", None)
-    if perm is not None or stored_is_systematic_claimed(code):
+    if perm is not None or isinstance(code, ShortenedCode):
         bad = []
         for t in range(p.B):
             row = code.generator.data[t]
@@ -269,12 +266,6 @@ def certify(
     )
 
 
-def stored_is_systematic_claimed(code: LinearCode) -> bool:
-    from .construct import ShortenedCode
-
-    return isinstance(code, ShortenedCode)
-
-
 # ---------------------------------------------------------------------------
 # bulk kernels
 # ---------------------------------------------------------------------------
@@ -284,11 +275,6 @@ def stored_is_systematic_claimed(code: LinearCode) -> bool:
 # ``chunk_stripes``).  Small enough to stay cache-resident, large enough that
 # per-call overhead is negligible.
 _CHUNK_BYTES = 4 << 20
-
-
-def gf256_mul_table(field) -> np.ndarray:
-    """256x256 uint8 product table of a GF(2^8) field (read-only)."""
-    return np.frombuffer(b"".join(field.product_tables), dtype=np.uint8).reshape(256, 256)
 
 
 def chunk_stripes(field, rows_in: int, rows_out: int) -> int:

@@ -29,8 +29,8 @@ once, after a header and file-size check) and each result is written at its
 offset with ``pwrite``.  Every output goes to a temporary file beside it,
 which replaces the destination only after the last chunk and is removed on
 any error, so a failed command leaves no partial output.  The field
-arithmetic is in the ``LinearCode`` bulk methods; this module does file I/O
-and argument handling.
+arithmetic is in ``analysis.encode_stripes`` and the ``LinearCode`` bulk
+methods; this module does file I/O and argument handling.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .analysis import (
     benchmark_pair,
     certify,
     chunk_stripes,
+    encode_stripes,
     sparsity_report,
     underlying_encoding,
 )
@@ -187,7 +188,7 @@ def code_from_descriptor(desc: dict):
     if construction not in _BUILDERS:
         raise CliError(f"unknown construction {construction!r}")
     field = _field_from_json(desc["field"])
-    code = _BUILDERS[construction](desc["n"], desc["k"], desc["d"], field=field, seed=desc["seed"])
+    code = _BUILDERS[construction](desc["n"], desc["k"], desc["d"], field=field)
     enc = underlying_encoding(code)
     if list(enc.xs) != list(desc["xs"]):
         raise CliError("rebuilt code uses different evaluation points than the descriptor")
@@ -204,7 +205,7 @@ def _code_from_selection(args):
         return code_from_descriptor(desc)
     if args.n is None or args.k is None or args.d is None:
         raise CliError("provide either --descriptor or all of --n/--k/--d")
-    return _BUILDERS[args.construction](args.n, args.k, args.d, field=_field_from_args(args), seed=args.seed)
+    return _BUILDERS[args.construction](args.n, args.k, args.d, field=_field_from_args(args))
 
 
 # ---------------------------------------------------------------------------
@@ -296,34 +297,10 @@ def _atomic_output(path):
         raise
 
 
-def write_shard(path, digest: bytes, node: int, stripes: int, payload_len: int, rows: np.ndarray, field) -> None:
-    """Write one whole shard: the header, then ``rows`` (alpha x stripes)."""
-    with _atomic_output(path) as fd:
-        _write_header(fd, digest, node, stripes, payload_len)
-        _write_rows(fd, rows, stripes, 0, field)
-
-
-def read_shard(path, digest: bytes, field, alpha: int):
-    """Parse and validate one whole shard; returns (node, stripes, payload_len, rows)."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        node, stripes, payload_len = _read_header(fd, path, digest, field, alpha)
-        rows = np.empty((alpha, stripes), dtype=_symbol_dtype(field))
-        _read_rows(fd, path, rows, stripes, 0, field)
-    finally:
-        os.close(fd)
-    if field.kind != "binary8":
-        rows = rows.astype(np.int64)
-    return node, stripes, payload_len, rows
-
-
-def _scan_shards(shard_dir) -> dict[int, Path]:
-    found = {}
-    for p in sorted(Path(shard_dir).glob("node_*.shard")):
-        try:
-            found[int(p.stem.split("_")[1])] = p
-        except (IndexError, ValueError):
-            continue
+def _scan_shards(shard_dir, n: int) -> dict[int, Path]:
+    """The shard of each node 0..n-1 present in ``shard_dir``, by its ``shard_name``."""
+    paths = (Path(shard_dir) / shard_name(i) for i in range(n))
+    found = {i: path for i, path in enumerate(paths) if path.is_file()}
     if not found:
         raise CliError(f"no node_*.shard files in {shard_dir}")
     return found
@@ -394,9 +371,7 @@ def _data_symbols_per_byte_check(field):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    code = _BUILDERS[args.construction](
-        args.n, args.k, args.d, field=_field_from_args(args), seed=args.seed
-    )
+    code = _BUILDERS[args.construction](args.n, args.k, args.d, field=_field_from_args(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = generation_artifacts(code)
@@ -436,7 +411,7 @@ def cmd_encode(args) -> int:
             want = min(chunk.size, size - s0 * p.B)
             if want > 0 and src.readinto(memoryview(chunk.reshape(-1))[:want]) != want:
                 raise CliError(f"{args.data}: file changed while being encoded")
-            rows = code.encode_bulk(chunk.T)
+            rows = encode_stripes(code, chunk.T)
             for i, fd in enumerate(shards):
                 _write_rows(fd, rows[i * p.alpha : (i + 1) * p.alpha], stripes, s0, p.field)
     print(f"encoded {size} bytes into {p.n} shards of {stripes} stripes in {out}")
@@ -447,7 +422,7 @@ def cmd_repair(args) -> int:
     desc, digest = load_descriptor(args.descriptor)
     code = code_from_descriptor(desc)
     p = code.params
-    shards = _scan_shards(args.shard_dir)
+    shards = _scan_shards(args.shard_dir, p.n)
     failed = args.failed
     if args.helpers:
         helpers = _parse_ids(args.helpers)
@@ -472,7 +447,7 @@ def cmd_decode(args) -> int:
     desc, digest = load_descriptor(args.descriptor)
     code = code_from_descriptor(desc)
     p = code.params
-    shards = _scan_shards(args.shard_dir)
+    shards = _scan_shards(args.shard_dir, p.n)
     ids = _parse_ids(args.nodes) if args.nodes else sorted(shards)[: p.k]
     if len(ids) != p.k:
         raise CliError(f"need exactly k={p.k} nodes, got {len(ids)}")
@@ -523,8 +498,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_bench(args) -> int:
     field = _field_from_args(args)
-    sparse = build_sparse_systematic(args.n, args.k, args.d, field=field, seed=args.seed)
-    dense = build_vanilla_systematic(args.n, args.k, args.d, field=field, seed=args.seed)
+    sparse = build_sparse_systematic(args.n, args.k, args.d, field=field)
+    dense = build_vanilla_systematic(args.n, args.k, args.d, field=field)
     rs, rd, measured, predicted = benchmark_pair(
         sparse, dense, workload_mib=args.mib, reps=args.reps, seed=args.seed
     )
@@ -599,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_params_args(sub, required=False)
         _add_field_args(sub)
         sub.add_argument("--construction", choices=sorted(_BUILDERS), default="sparse")
-        sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--tsv", action="store_true")
         if name == "certify":
+            sub.add_argument("--seed", type=int, default=0)
             sub.add_argument("--subset-limit", type=int, default=1000)
             sub.add_argument("--samples", type=int, default=50)
             sub.add_argument("--decode-samples", type=int, default=10)

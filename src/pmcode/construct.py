@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .core import (
-    CodeParams,
     EncodingMatrix,
     LinearCode,
     MessageMatrix,
@@ -60,8 +59,8 @@ def sparsify_encoding(enc: EncodingMatrix) -> EncodingMatrix:
     nodes of the remapped code will each store single message symbols and
     every generator row ends up d-sparse.  All three construction properties
     survive right-multiplication by an invertible matrix, so none is checked
-    again: ``inverse()`` raising ``Singular`` is the only check needed.  The
-    full report stays available, on first access, as ``validation``.
+    again: ``inverse()`` raising ``Singular`` is the only check needed.
+    ``certify`` or ``validate_properties`` re-derive them on demand.
     """
     phi = enc.phi @ enc.phi.take_rows(range(enc.params.alpha)).inverse()
     return replace(enc, phi=phi, psi=psi_from_phi_lambda(enc.params, phi, enc.lam))
@@ -175,35 +174,35 @@ def _next_prime(x: int) -> int:
     return x
 
 
-def choose_prime_encoding(n: int, k: int, d: int, seed: int = 0) -> EncodingMatrix:
+def choose_prime_encoding(n: int, k: int, d: int) -> EncodingMatrix:
     """Smallest prime field of order > n whose default points validate."""
     p = _next_prime(n + 1)
     while True:
         try:
             params = build_params(n, k, d, PrimeField(p))
-            return build_vandermonde_encoding(params, seed=seed)
+            return build_vandermonde_encoding(params)
         except PropertyViolation:
             p = _next_prime(p + 1)
 
 
-def _base_encoding(n: int, k: int, d: int, field, seed: int) -> EncodingMatrix:
+def _base_encoding(n: int, k: int, d: int, field) -> EncodingMatrix:
     if field is None:
-        return choose_prime_encoding(n, k, d, seed=seed)
-    return build_vandermonde_encoding(build_params(n, k, d, field), seed=seed)
+        return choose_prime_encoding(n, k, d)
+    return build_vandermonde_encoding(build_params(n, k, d, field))
 
 
-def build_vanilla_systematic(n: int, k: int, d: int, field=None, seed: int = 0) -> RemappedCode | ShortenedCode:
+def build_vanilla_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
     """Systematic product-matrix code for any 2k-2 <= d <= n-1 (dense generator)."""
     i = d - 2 * k + 2
     if i == 0:
-        enc = _base_encoding(n, k, d, field, seed)
+        enc = _base_encoding(n, k, d, field)
         return remap_generic(PmVandermondeCode(enc))
-    parent_enc = _base_encoding(n + i, k + i, d + i, field, seed)
+    parent_enc = _base_encoding(n + i, k + i, d + i, field)
     parent = remap_generic(PmVandermondeCode(parent_enc))
     return shorten(parent, i)
 
 
-def build_sparse_systematic(n: int, k: int, d: int, field=None, seed: int = 0) -> RemappedCode | ShortenedCode:
+def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
     """Systematic code whose parity generator rows are sparse.
 
     In the base regime the encoding matrix is sparsified directly; each
@@ -214,18 +213,18 @@ def build_sparse_systematic(n: int, k: int, d: int, field=None, seed: int = 0) -
     """
     i = d - 2 * k + 2
     if i == 0:
-        enc = sparsify_encoding(_base_encoding(n, k, d, field, seed))
+        enc = sparsify_encoding(_base_encoding(n, k, d, field))
         return remap_generic(PmVandermondeCode(enc, f"sparse {enc.params}"))
-    parent_enc = _base_encoding(n + i, k + i, d + i, field, seed)
+    parent_enc = _base_encoding(n + i, k + i, d + i, field)
     parent = remap_generic(RbtCode(PmVandermondeCode(parent_enc)))
     return shorten(parent, i)
 
 
-def build_rbt_systematic(n: int, k: int, d: int, field=None, seed: int = 0) -> RemappedCode:
+def build_rbt_systematic(n: int, k: int, d: int, field=None) -> RemappedCode:
     """Systematic repair-by-transfer code (base regime only)."""
     if d != 2 * k - 2:
         raise InvalidRegime(f"repair-by-transfer construction requires d=2k-2, got d={d}")
-    enc = _base_encoding(n, k, d, field, seed)
+    enc = _base_encoding(n, k, d, field)
     return remap_generic(RbtCode(PmVandermondeCode(enc)))
 
 

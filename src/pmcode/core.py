@@ -18,7 +18,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -98,20 +97,6 @@ class EncodingMatrix:
     lam: tuple               # n diagonal entries of Lambda
     psi: Matrix              # n x d = [Phi  Lambda*Phi]
     xs: Optional[tuple]      # evaluation points when Vandermonde-built
-    # limits and seed of the report behind ``validation``
-    exhaustive_limit: int = 100_000
-    samples: int = 1000
-    seed: int = 0
-
-    @cached_property
-    def validation(self) -> ValidationReport:
-        """The full property check, run on first access and then kept.
-
-        Raises PropertyViolation when a property fails.
-        """
-        return validate_properties(
-            self.params, self.phi, list(self.lam), self.exhaustive_limit, self.samples, self.seed
-        )
 
 
 def _subset_iter(n: int, size: int, limit: int, samples: int, seed: int):
@@ -188,14 +173,12 @@ def encoding_from_phi_lambda(
     lam: Sequence[int],
     xs: Optional[Sequence[int]] = None,
     validate: bool = True,
-    exhaustive_limit: int = 100_000,
-    samples: int = 1000,
-    seed: int = 0,
 ) -> EncodingMatrix:
     """Encoding matrix from a given Phi and lambda.
 
-    With ``validate`` the three properties are checked now, as a Phi built
-    elsewhere needs; otherwise ``validation`` runs them on first access.
+    With ``validate`` the three properties are checked by
+    ``validate_properties``, as a Phi built elsewhere needs; callers that
+    guarantee them by construction pass ``validate=False``.
     """
     if params.d != 2 * params.k - 2:
         raise InvalidRegime(
@@ -207,37 +190,26 @@ def encoding_from_phi_lambda(
         )
     if len(lam) != params.n:
         raise LengthMismatch(f"lambda has {len(lam)} entries, expected {params.n}")
-    enc = EncodingMatrix(
+    if validate:
+        validate_properties(params, phi, lam)  # raises PropertyViolation
+    return EncodingMatrix(
         params=params,
         phi=phi,
         lam=tuple(lam),
         psi=psi_from_phi_lambda(params, phi, lam),
         xs=tuple(xs) if xs is not None else None,
-        exhaustive_limit=exhaustive_limit,
-        samples=samples,
-        seed=seed,
     )
-    if validate:
-        enc.validation  # raises PropertyViolation
-    return enc
 
 
-def build_vandermonde_encoding(
-    params: CodeParams,
-    xs: Optional[Sequence[int]] = None,
-    exhaustive_limit: int = 100_000,
-    samples: int = 1000,
-    seed: int = 0,
-) -> EncodingMatrix:
+def build_vandermonde_encoding(params: CodeParams, xs: Optional[Sequence[int]] = None) -> EncodingMatrix:
     """Vandermonde instantiation: psi[i][j] = xs[i]^(j+1), lambda_i = xs[i]^alpha.
 
     For distinct nonzero points, properties 1 and 2 hold by construction:
     any alpha rows of Phi form diag(x) times a Vandermonde matrix, and any
     d = 2*alpha rows of Psi are the rows x^1..x^d.  Only property 3 (the
-    x^alpha pairwise distinct) is then checked, in O(n); the full
-    ``validate_properties`` report is left to ``EncodingMatrix.validation``.
-    Explicit ``xs`` that are not all canonical nonzero field elements go
-    through the full check at once.
+    x^alpha pairwise distinct) is then checked, in O(n).  Explicit ``xs``
+    that are not all canonical nonzero field elements go through the full
+    ``validate_properties`` check instead.
 
     With explicit ``xs`` a property violation is an error.  Without, the
     default points are tried first (1..n); over GF(2^8), where x -> x^alpha
@@ -253,9 +225,7 @@ def build_vandermonde_encoding(
         nonzero = all(isinstance(x, int) and 0 < x < field.order for x in points)
         if nonzero:
             _check_lambdas_distinct(lam)
-        return encoding_from_phi_lambda(
-            params, phi, lam, points, not nonzero, exhaustive_limit, samples, seed
-        )
+        return encoding_from_phi_lambda(params, phi, lam, points, validate=not nonzero)
 
     if params.d != 2 * params.k - 2:
         raise InvalidRegime(
@@ -614,16 +584,11 @@ class LinearCode:
 
     # -- bulk paths ----------------------------------------------------------
     #
-    # One stripe per column: these apply the code's matrices to a chunk of
-    # stripes through the kernel in pmcode.analysis (imported on call, since
-    # analysis imports this module).  The per-stripe methods above are the
+    # One stripe per column: these apply the repair and decode matrices to a
+    # chunk of stripes through the kernel in pmcode.analysis (imported on
+    # call, since analysis imports this module); bulk encoding is
+    # ``analysis.encode_stripes``.  The per-stripe methods above are the
     # exact reference the bulk paths are tested against.
-
-    def encode_bulk(self, data):
-        """All node contents, (n*alpha x S), of a (B x S) chunk of message stripes."""
-        from .analysis import apply_rows_bulk
-
-        return apply_rows_bulk(self.params.field, self.generator, data)
 
     def repair_bulk(self, failed: int, helpers: Sequence[int], rows):
         """The failed node's (alpha x S) rows from the helpers' rows, stacked
@@ -650,9 +615,6 @@ class PmVandermondeCode(LinearCode):
         params = enc.params
         super().__init__(params, generator_matrix(enc), label or f"vanilla {params}")
         self.enc = enc
-
-    def encode_matrix(self, mm: MessageMatrix) -> Matrix:
-        return encode(self.enc, mm)
 
     def repair_vector(self, failed: int) -> list[int]:
         if not 0 <= failed < self.params.n:

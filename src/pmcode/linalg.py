@@ -192,10 +192,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def scale(self, s: int) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(s, x) for x in row] for row in self.data])
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")

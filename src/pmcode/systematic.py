@@ -21,7 +21,7 @@ from .core import (
     sym_index,
     unpack_message,
 )
-from .errors import DesignMismatch, DimensionMismatch, LengthMismatch, Singular
+from .errors import DesignMismatch, LengthMismatch, Singular
 from .linalg import Matrix
 
 

@@ -13,7 +13,6 @@ from pmcode.analysis import (
     benchmark_pair,
     certify,
     encode_stripes,
-    gf256_mul_table,
     parity_nonzeros,
     predicted_speedup,
     random_stripes,
@@ -137,16 +136,6 @@ def test_underlying_encoding_walks_wrappers():
     shortened = build_sparse_systematic(12, 5, 10)
     enc = underlying_encoding(shortened)
     assert enc is not None and (enc.params.n, enc.params.k) == (14, 7)
-
-
-def test_gf256_mul_table_exhaustive():
-    field = field_of_order(256)
-    table = gf256_mul_table(field)
-    assert table.shape == (256, 256) and table.dtype == np.uint8
-    for a in range(256):
-        row = table[a]
-        for b in range(256):
-            assert row[b] == field.mul(a, b)
 
 
 def test_apply_rows_bulk_matches_per_stripe_mul():

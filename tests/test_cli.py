@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pmcode import cli
@@ -13,9 +12,7 @@ from pmcode.cli import (
     code_from_descriptor,
     load_descriptor,
     main,
-    read_shard,
     shard_name,
-    write_shard,
 )
 from pmcode.construct import build_sparse_systematic, build_vanilla_systematic
 from pmcode.field import field_of_order
@@ -70,6 +67,24 @@ def test_descriptor_rebuild_round_trip(tmp_path):
     code = code_from_descriptor(desc)
     reference = build_sparse_systematic(10, 5, 8, field=field_of_order(256))
     assert code.generator == reference.generator
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("--n", 13, "--k", 6, "--d", 11, "--gf256"), ("--n", 12, "--k", 6, "--d", 10, "--q", 257)],
+    ids=["13-6-11-gf256", "12-6-10-f257"],
+)
+def test_gen_seed_is_recorded_but_does_not_change_the_code(tmp_path, params):
+    a = gen_dir(tmp_path, "seed0", *params, "--seed", 0)
+    b = gen_dir(tmp_path, "seed7", *params, "--seed", 7)
+    for name in ("psi.txt", "g.txt", "g_sys.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    desc_a, _ = load_descriptor(a / "descriptor.json")
+    desc_b, _ = load_descriptor(b / "descriptor.json")
+    assert (desc_a["seed"], desc_b["seed"]) == (0, 7)
+    assert {**desc_a, "seed": 7} == desc_b
+    # rebuilding checks the hashes of all three matrix files
+    assert code_from_descriptor(desc_b).generator == code_from_descriptor(desc_a).generator
 
 
 def test_gen_rejects_invalid_regime(tmp_path, capsys):
@@ -191,6 +206,32 @@ def test_shards_are_bound_to_their_descriptor(tmp_path, capsys):
     assert run("repair", "--descriptor", other / "descriptor.json",
                "--shard-dir", shards, "--failed", 0) == 2
     assert "different descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stray", ["node_003_old.shard", "node_3.shard", "node_0003.shard"])
+def test_stray_shard_name_is_ignored(tmp_path, stray):
+    """Only shard_name(i) names a node: a same-geometry shard of another
+    object under a near-miss name must not stand in for node 3."""
+    rng = random.Random(8)
+    payload, other = rng.randbytes(3000), rng.randbytes(3000)
+    desc_path, shards = _cycle(tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), payload)
+    data = tmp_path / "other.bin"
+    data.write_bytes(other)
+    assert run("encode", "--descriptor", desc_path, "--data", data, "--out-dir", tmp_path / "other") == 0
+    (shards / stray).write_bytes((tmp_path / "other" / shard_name(3)).read_bytes())
+
+    out = tmp_path / "out.bin"
+    assert run("decode", "--descriptor", desc_path, "--shard-dir", shards,
+               "--nodes", "0,1,2,3", "--out", out) == 0
+    assert out.read_bytes() == payload
+
+    # with node 3's own shard gone, the stray one does not fill in for it
+    original = (shards / shard_name(3)).read_bytes()
+    (shards / shard_name(3)).unlink()
+    assert run("decode", "--descriptor", desc_path, "--shard-dir", shards, "--out", out) == 0
+    assert out.read_bytes() == payload
+    assert run("repair", "--descriptor", desc_path, "--shard-dir", shards, "--failed", 3) == 0
+    assert (shards / shard_name(3)).read_bytes() == original
 
 
 def test_decode_requires_exactly_k_nodes(tmp_path, capsys):
@@ -332,27 +373,12 @@ def test_repair_checks_helpers_before_reading_shards(tmp_path, capsys, monkeypat
         tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), b"payload"
     )
 
-    def no_read(*args, **kwargs):
-        raise AssertionError("a shard was read before the helper list was checked")
+    def no_open(*args, **kwargs):
+        raise AssertionError("a shard was opened before the helper list was checked")
 
-    monkeypatch.setattr(cli, "read_shard", no_read)
+    monkeypatch.setattr(cli, "_open_nodes", no_open)
     assert run("repair", "--descriptor", desc_path, "--shard-dir", shards,
                "--failed", failed, "--helpers", helpers) == 2
     err = capsys.readouterr().err
     assert f"cannot repair node {failed}" in err and message in err
 
-
-@pytest.mark.parametrize("q", [256, 257])
-def test_write_shard_layout_and_read_back(tmp_path, q):
-    field = field_of_order(q)
-    stripes, digest = 11, bytes(range(32))
-    wide = np.arange(3 * stripes, dtype=np.int64).reshape(stripes, 3) * 37 % q
-    rows = wide.T.astype(np.uint8) if q == 256 else wide.T  # not C-contiguous
-    dtype = np.uint8 if q == 256 else ">u4"
-    path = tmp_path / "s.shard"
-    write_shard(path, digest, 5, stripes, 30, rows, field)
-    expected = SHARD_HEADER.pack(b"PMSHARD1", digest, 5, stripes, 30) + rows.astype(dtype).tobytes()
-    assert path.read_bytes() == expected
-    node, got_stripes, plen, got = read_shard(path, digest, field, 3)
-    assert (node, got_stripes, plen) == (5, stripes, 30)
-    assert np.array_equal(got, rows)

@@ -23,6 +23,7 @@ from pmcode.core import (
     build_vandermonde_encoding,
     pack_message,
     random_message,
+    validate_properties,
 )
 from pmcode.errors import (
     BadShorteningIndex,
@@ -57,7 +58,7 @@ def test_sparsify_matches_reference(vanilla846):
     enc = sparsify_encoding(vanilla846.enc)
     assert enc.psi.data == PSI_SPARSE
     assert enc.lam == vanilla846.enc.lam
-    assert enc.validation is not None
+    assert validate_properties(enc.params, enc.phi, list(enc.lam)).lambdas_distinct
 
 
 def test_sparsify_is_idempotent(vanilla846):

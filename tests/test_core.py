@@ -101,7 +101,7 @@ def test_vandermonde_encoding_matches_reference():
 
 def test_validation_report_exhaustive_counts():
     enc = build_vandermonde_encoding(build_params(8, 4, 6, F11))
-    rep = enc.validation
+    rep = validate_properties(enc.params, enc.phi, list(enc.lam))
     assert rep.subsets_full_rank.mode == "exhaustive"
     assert rep.subsets_full_rank.cases == 56   # C(8,3)
     assert rep.psi_subsets_full_rank.mode == "exhaustive"
@@ -111,8 +111,8 @@ def test_validation_report_exhaustive_counts():
 
 def test_validation_sampled_mode_is_seeded():
     params = build_params(8, 4, 6, F11)
-    enc = build_vandermonde_encoding(params, exhaustive_limit=0, samples=50, seed=123)
-    rep = enc.validation
+    enc = build_vandermonde_encoding(params)
+    rep = validate_properties(params, enc.phi, list(enc.lam), exhaustive_limit=0, samples=50, seed=123)
     assert rep.subsets_full_rank.mode == "sampled"
     assert rep.subsets_full_rank.cases == 50
     # same seed revalidates identically
@@ -151,7 +151,7 @@ def test_property2_violation_singular_psi_rows():
 
 def test_gf256_encoding_validates():
     enc = build_vandermonde_encoding(build_params(8, 4, 6, GF256))
-    assert enc.validation is not None
+    assert validate_properties(enc.params, enc.phi, list(enc.lam)).lambdas_distinct
     assert len(set(enc.lam)) == 8
     # points are a consecutive run chosen deterministically
     s = enc.xs[0]
@@ -205,7 +205,7 @@ def test_encode_paths_agree(code846, code846_gf256):
         rng = random.Random(11)
         for _ in range(20):
             m = random_message(params, rng)
-            cw = code.encode_matrix(pack_message(params, m))
+            cw = encode(code.enc, pack_message(params, m))
             flat = [x for row in cw.data for x in row]
             assert flat == code.encode_message(m)
 

@@ -78,7 +78,7 @@ def _assert_same_as_reference(enc, params, xs, report):
     assert enc.phi == phi
     assert list(enc.lam) == phi.column_vector(params.alpha - 1)
     assert report.subsets_full_rank.mode == report.psi_subsets_full_rank.mode == "exhaustive"
-    assert enc.validation == report
+    assert validate_properties(params, enc.phi, list(enc.lam)) == report
 
 
 @pytest.mark.parametrize("n, k", BASE_REGIME)
@@ -140,20 +140,16 @@ def test_explicit_repeated_point_is_still_rejected_by_vandermonde():
 def test_build_makes_no_rank_calls_until_validation_is_read(rank_calls):
     enc = build_vandermonde_encoding(build_params(8, 4, 6, F11))
     assert rank_calls == []
-    assert enc.validation.lambdas_distinct
+    assert validate_properties(enc.params, enc.phi, list(enc.lam)).lambdas_distinct
     assert len(rank_calls) == 56 + 28  # C(8,3) + C(8,6)
-    enc.validation
-    assert len(rank_calls) == 56 + 28  # the report is kept
 
 
-def test_sparsify_keeps_limits_and_checks_nothing(rank_calls):
+def test_sparsify_checks_nothing(rank_calls):
     params = build_params(8, 4, 6, F11)
-    enc = build_vandermonde_encoding(params, exhaustive_limit=0, samples=50, seed=123)
-    sparse = sparsify_encoding(enc)
+    sparse = sparsify_encoding(build_vandermonde_encoding(params))
     assert rank_calls == []
-    rep = sparse.validation
-    assert (rep.subsets_full_rank.mode, rep.subsets_full_rank.cases, rep.seed) == ("sampled", 50, 123)
-    assert rep == validate_properties(params, sparse.phi, list(sparse.lam), 0, 50, 123)
+    rep = validate_properties(params, sparse.phi, list(sparse.lam))
+    assert rep.subsets_full_rank.mode == rep.psi_subsets_full_rank.mode == "exhaustive"
 
 
 def test_paper_code_rebuilds_without_rank_calls(rank_calls):

@@ -60,8 +60,7 @@ def test_bulk_methods_match_per_stripe_paths(q):
     code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
     p = code.params
     data = random_stripes(p.field, p.B, 9, seed=q)
-    stored = code.encode_bulk(data)
-    assert np.array_equal(stored, encode_stripes(code, data))
+    stored = encode_stripes(code, data)
     columns = [[int(x) for x in data[:, s]] for s in range(9)]
     for s, m in enumerate(columns):
         assert [int(x) for x in stored[:, s]] == code.encode_message(m)
@@ -222,14 +221,13 @@ def test_encode_failure_leaves_no_shards(tmp_path, monkeypatch, capsys):
     data.write_bytes(bytes(500))
     calls = []
 
-    def failing_encode(self, chunk):
+    def failing_encode(code, chunk):
         calls.append(chunk.shape)
         if len(calls) == 3:
             raise cli.CliError("injected failure")
-        return real(self, chunk)
+        return encode_stripes(code, chunk)
 
-    real = LinearCode.encode_bulk
-    monkeypatch.setattr(LinearCode, "encode_bulk", failing_encode)
+    monkeypatch.setattr(cli, "encode_stripes", failing_encode)
     set_chunk(monkeypatch, field_of_order(256), 12, 24)  # B=12, n*alpha=24
     out = tmp_path / "shards"
     assert run("encode", "--descriptor", gen / "descriptor.json", "--data", data, "--out-dir", out) == 2
