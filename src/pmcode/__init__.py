@@ -77,20 +77,31 @@ from .construct import (
     shorten,
     sparsify_encoding,
 )
-from .analysis import (
-    BenchResult,
-    CertificationRecord,
-    SparsityReport,
-    benchmark_encode,
-    benchmark_pair,
-    certify,
-    encode_stripes,
-    predicted_speedup,
-    sparsity_report,
-    underlying_encoding,
-)
 
 __version__ = "0.1.0"
+
+# analysis imports numpy, so its names load on first use (PEP 562) and
+# ``import pmcode`` itself stays numpy-free.
+_ANALYSIS_NAMES = frozenset({
+    "BenchResult",
+    "CertificationRecord",
+    "SparsityReport",
+    "benchmark_encode",
+    "benchmark_pair",
+    "certify",
+    "encode_stripes",
+    "predicted_speedup",
+    "sparsity_report",
+    "underlying_encoding",
+})
+
+
+def __getattr__(name):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsymmetryDetected",

@@ -46,6 +46,9 @@ import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
+# pmcode never calls BLAS; stop numpy's OpenBLAS from starting a thread pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .analysis import (
@@ -176,7 +179,7 @@ def load_descriptor(path) -> tuple[dict, bytes]:
     raw = Path(path).read_bytes()
     try:
         desc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise CliError(f"descriptor is not valid JSON: {exc}") from exc
     return desc, hashlib.sha256(raw).digest()
 

@@ -278,6 +278,23 @@ def test_malformed_descriptor_is_a_cli_error(tmp_path, capsys, mutate, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xff\xff{", b"[" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_unparsable_descriptor_is_a_cli_error(tmp_path, capsys, raw):
+    path = tmp_path / "descriptor.json"
+    path.write_bytes(raw)
+    out = tmp_path / "o.bin"
+    assert run("decode", "--descriptor", path, "--shard-dir", tmp_path, "--out", out) == 2
+    assert "descriptor is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+    # exit 1 from certify would mean "a check failed"
+    assert run("certify", "--descriptor", path) == 2
+    assert "descriptor is not valid JSON" in capsys.readouterr().err
+
+
 def test_certify_cli(tmp_path, capsys):
     out = gen_dir(tmp_path, "g", "--n", 8, "--k", 4, "--d", 6, "--q", 11)
     assert run("certify", "--descriptor", out / "descriptor.json") == 0

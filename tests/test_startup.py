@@ -1,0 +1,53 @@
+"""What importing the package and the CLI costs a fresh process.
+
+``import pmcode`` loads no numpy, and importing ``pmcode.cli`` keeps
+numpy's OpenBLAS from starting a thread pool that pmcode never uses.
+Each check runs in a fresh interpreter, since this one has numpy loaded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str, **env) -> str:
+    """Run ``code`` in a new interpreter with ``src`` on the path; return its stdout."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=child_env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
+def test_import_pmcode_loads_no_numpy():
+    assert run_fresh("import sys, pmcode; print('numpy' in sys.modules)") == "False"
+
+
+def test_analysis_names_resolve_on_first_use():
+    out = run_fresh(
+        "import pmcode\n"
+        "from pmcode import SparsityReport\n"
+        "print(pmcode.certify.__module__, pmcode.encode_stripes.__module__,"
+        " SparsityReport.__module__)"
+    )
+    assert out == "pmcode.analysis pmcode.analysis pmcode.analysis"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_starts_no_blas_threads():
+    out = run_fresh(
+        "import os, pmcode.cli\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    )
+    assert out == "1 1"
+
+
+def test_cli_keeps_a_caller_set_thread_count():
+    out = run_fresh("import os, pmcode.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                    OPENBLAS_NUM_THREADS="2")
+    assert out == "2"
