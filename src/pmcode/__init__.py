@@ -36,13 +36,13 @@ from .errors import (
 from .field import BinaryField, PrimeField, field_of_order
 from .linalg import Matrix, matrix_from_text, vandermonde
 from .core import (
+    CheckResult,
     CodeParams,
     EncodingMatrix,
     LinearCode,
     MessageMatrix,
     PmVandermondeCode,
     RepairBundle,
-    ValidationReport,
     build_params,
     build_vandermonde_encoding,
     decode_identity_block,
@@ -111,6 +111,7 @@ __all__ = [
     "BenchResult",
     "BinaryField",
     "CertificationRecord",
+    "CheckResult",
     "CodeParams",
     "DesignMismatch",
     "DimensionMismatch",
@@ -134,7 +135,6 @@ __all__ = [
     "ShortenedCode",
     "Singular",
     "SparsityReport",
-    "ValidationReport",
     "ZeroInverse",
     "benchmark_encode",
     "benchmark_pair",

@@ -13,7 +13,6 @@ stripes at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import statistics
@@ -24,12 +23,14 @@ import numpy as np
 
 from .construct import ShortenedCode
 from .core import (
+    CheckResult,
     LinearCode,
     PmVandermondeCode,
     random_message,
+    subset_cases,
     validate_properties,
 )
-from .errors import DimensionMismatch, FieldMismatch, PmCodeError
+from .errors import DimensionMismatch, FieldMismatch, PmCodeError, PropertyViolation
 from .linalg import Matrix
 
 
@@ -115,18 +116,6 @@ def sparsity_report(code: LinearCode) -> SparsityReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    mode: str      # "exhaustive", "sampled", or "skipped"
-    cases: int
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
 class CertificationRecord:
     label: str
     n: int
@@ -168,28 +157,37 @@ def underlying_encoding(code: LinearCode):
     return None if code is None else code.enc
 
 
-def _subset_cases(n: int, size: int, limit: int, samples: int, rng: random.Random):
-    total = math.comb(n, size)
-    if total <= limit:
-        return "exhaustive", list(itertools.combinations(range(n), size))
-    return "sampled", [tuple(sorted(rng.sample(range(n), size))) for _ in range(samples)]
+def _failed_cases(cases, holds) -> tuple:
+    """The cases for which ``holds`` is false or raises a PmCodeError (a singular block, say)."""
+    failed = []
+    for case in cases:
+        try:
+            if holds(case):
+                continue
+        except PmCodeError:
+            pass
+        failed.append(case)
+    return tuple(failed)
 
 
-def certify(
-    code: LinearCode,
-    seed: int = 0,
-    subset_limit: int = 1000,
-    samples: int = 50,
-    decode_samples: int = 10,
-    repair_limit: int = 1000,
-    property_limit: int = 100_000,
-) -> CertificationRecord:
+# certify's fixed budgets: every case when there are at most *_LIMIT, else
+# *_SAMPLES seeded draws; DECODES of the k-subsets are also decoded.
+PROPERTY_LIMIT, PROPERTY_SAMPLES = 100_000, 50
+SUBSET_LIMIT, SUBSET_SAMPLES = 1000, 50
+DECODES = 10
+REPAIR_LIMIT, REPAIR_SAMPLES = 1000, 50
+
+
+def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
     """Re-derive the code's guarantees from scratch and report every failure.
 
-    Checks: construction properties (when an underlying encoding matrix
-    exists), data reconstruction from k-node subsets (rank plus decode
-    round-trips), exact repair from d-helper sets with exactly d transferred
-    scalars, and the systematic layout of the top block when one is claimed.
+    One row per check, with the mode and case count it ran: ``property-1``
+    to ``-3`` of the underlying encoding matrix when there is one (a
+    violation is one failed row with its witness; the other checks still
+    run), ``k-subset-rank``, ``decode-roundtrip`` (exhaustive only when it
+    decodes every k-subset), ``repair-exact`` (exact, with d scalars moved)
+    and ``systematic-top-block`` when a systematic layout is claimed.  The
+    budgets are the module constants above; ``seed`` seeds every draw.
     """
     p = code.params
     rng = random.Random(seed)
@@ -197,57 +195,44 @@ def certify(
 
     enc = underlying_encoding(code)
     if enc is not None:
-        failures = ()
         try:
-            validate_properties(
-                enc.params, enc.phi, list(enc.lam),
-                exhaustive_limit=property_limit, samples=samples, seed=seed,
+            checks += validate_properties(
+                enc.params, enc.phi, list(enc.lam), PROPERTY_LIMIT, PROPERTY_SAMPLES, seed
             )
-        except PmCodeError as exc:
-            failures = (str(exc),)
-        checks.append(CheckResult("construction-properties", "recomputed", 3, failures))
+        except PropertyViolation as exc:
+            checks.append(exc.check)
 
     # reconstruction: every k-subset's stacked block must have rank B
-    mode, cases = _subset_cases(p.n, p.k, subset_limit, samples, rng)
-    bad = []
-    for ids in cases:
-        block = Matrix.vstack([code.node_block(i) for i in ids])
-        if block.rank() < p.B:
-            bad.append(ids)
-    checks.append(CheckResult("k-subset-rank", mode, len(cases), tuple(bad)))
+    def full_rank(ids):
+        return Matrix.vstack([code.node_block(i) for i in ids]).rank() == p.B
+
+    mode, cases = subset_cases(p.n, p.k, SUBSET_LIMIT, SUBSET_SAMPLES, rng)
+    checks.append(CheckResult("k-subset-rank", mode, len(cases), _failed_cases(cases, full_rank)))
 
     m = random_message(p, rng)
     stored = code.stored_rows(m)
 
-    bad = []
-    decode_cases = cases[:decode_samples] if len(cases) > decode_samples else cases
-    for ids in decode_cases:
-        if code.decode(ids, [stored[i] for i in ids]) != m:
-            bad.append(ids)
-    checks.append(CheckResult("decode-roundtrip", mode, len(decode_cases), tuple(bad)))
+    def decodes_exactly(ids):
+        return code.decode(ids, [stored[i] for i in ids]) == m
 
-    # repair: exact rebuild, d scalars moved
-    total_repairs = p.n * math.comb(p.n - 1, p.d)
-    bad = []
-    if total_repairs <= repair_limit:
-        mode = "exhaustive"
-        repair_cases = [
-            (f, helpers)
-            for f in range(p.n)
-            for helpers in itertools.combinations([x for x in range(p.n) if x != f], p.d)
-        ]
-    else:
+    decodes = cases if len(cases) <= DECODES else rng.sample(cases, DECODES)
+    if len(decodes) < len(cases):
         mode = "sampled"
-        repair_cases = []
-        for _ in range(samples):
-            f = rng.randrange(p.n)
-            helpers = tuple(sorted(rng.sample([x for x in range(p.n) if x != f], p.d)))
-            repair_cases.append((f, helpers))
-    for f, helpers in repair_cases:
-        bundle = code.run_repair(stored, f, helpers)
-        if list(bundle.rebuilt) != stored[f] or len(bundle.symbols) != p.d:
-            bad.append((f, helpers))
-    checks.append(CheckResult("repair-exact", mode, len(repair_cases), tuple(bad)))
+    checks.append(CheckResult("decode-roundtrip", mode, len(decodes), _failed_cases(decodes, decodes_exactly)))
+
+    # repair: exact rebuild, d scalars moved.  A (failed, helpers) case is a
+    # (d+1)-subset with one member failed: all of them, or one drawn per subset.
+    def repairs_exactly(case):
+        bundle = code.run_repair(stored, *case)
+        return list(bundle.rebuilt) == stored[case[0]] and len(bundle.symbols) == p.d
+
+    mode, groups = subset_cases(p.n, p.d + 1, REPAIR_LIMIT // (p.d + 1), REPAIR_SAMPLES, rng)
+    repairs = [
+        (g[j], g[:j] + g[j + 1 :])
+        for g in groups
+        for j in (range(p.d + 1) if mode == "exhaustive" else [rng.randrange(p.d + 1)])
+    ]
+    checks.append(CheckResult("repair-exact", mode, len(repairs), _failed_cases(repairs, repairs_exactly)))
 
     perm = getattr(code, "column_permutation", None)
     if perm is not None or isinstance(code, ShortenedCode):

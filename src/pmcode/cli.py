@@ -6,7 +6,8 @@ Subcommands:
 * ``encode``   split a data file into per-node shard files
 * ``repair``   rebuild one node's shard from d helper shards
 * ``decode``   recover the data file from any k shards
-* ``certify``  re-check reconstruction, repair, and systematic form
+* ``certify``  re-check the construction properties, reconstruction, repair
+               and systematic form, one row per check
 * ``analyze``  print a generator sparsity report
 * ``bench``    time sparse vs dense encoding on a seeded workload
 
@@ -95,11 +96,19 @@ class CliError(PmCodeError):
 # descriptor
 # ---------------------------------------------------------------------------
 
+def _make_field(kind: str, number: int, source: str):
+    """The field of ``kind`` pinned by ``number``; a bad number is a CliError naming ``source``."""
+    try:
+        return BinaryField(number) if kind == "binary8" else PrimeField(number)
+    except ValueError as exc:
+        raise CliError(f"{source}: {exc}") from exc
+
+
 def _field_from_args(args):
     if args.gf256:
-        return BinaryField(GF256_DEFAULT_POLY)
+        return _make_field("binary8", GF256_DEFAULT_POLY, "--gf256")
     if args.q is not None:
-        return PrimeField(args.q)
+        return _make_field("prime", args.q, "--q")
     return None  # builders pick the smallest workable prime
 
 
@@ -110,10 +119,7 @@ def _field_to_json(field) -> dict:
 
 
 def _field_from_json(fd: dict):
-    try:
-        return BinaryField(fd["poly"]) if fd["kind"] == "binary8" else PrimeField(fd["q"])
-    except ValueError as exc:
-        raise CliError(f"descriptor field: {exc}") from exc
+    return _make_field(fd["kind"], fd[_FIELD_NUMBER[fd["kind"]]], "descriptor field")
 
 
 def generation_artifacts(code) -> dict[str, str]:
@@ -474,14 +480,7 @@ def cmd_decode(args) -> int:
 
 def cmd_certify(args) -> int:
     code = _code_from_selection(args)
-    record = certify(
-        code,
-        seed=args.seed,
-        subset_limit=args.subset_limit,
-        samples=args.samples,
-        decode_samples=args.decode_samples,
-        repair_limit=args.repair_limit,
-    )
+    record = certify(code, seed=args.seed)
     if args.tsv:
         print("\n".join(record.to_tsv_rows()))
     else:
@@ -500,6 +499,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise CliError(f"--reps must be at least 1, got {args.reps}")
+    if not 0 < args.mib < float("inf"):
+        raise CliError(f"--mib must be a finite positive size, got {args.mib}")
     field = _field_from_args(args)
     sparse = build_sparse_systematic(args.n, args.k, args.d, field=field)
     dense = build_vanilla_systematic(args.n, args.k, args.d, field=field)
@@ -580,10 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--tsv", action="store_true")
         if name == "certify":
             sub.add_argument("--seed", type=int, default=0)
-            sub.add_argument("--subset-limit", type=int, default=1000)
-            sub.add_argument("--samples", type=int, default=50)
-            sub.add_argument("--decode-samples", type=int, default=10)
-            sub.add_argument("--repair-limit", type=int, default=1000)
         sub.set_defaults(func=func)
 
     sub = subs.add_parser("bench", help="time sparse vs dense encoding")

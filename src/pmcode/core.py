@@ -77,17 +77,17 @@ def build_params(n: int, k: int, d: int, field) -> CodeParams:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PropertyCheck:
-    mode: str  # "exhaustive" or "sampled"
+class CheckResult:
+    """What one check ran and what failed: ``failures`` holds the witnesses."""
+
+    name: str
+    mode: str      # "exhaustive" or "sampled"
     cases: int
+    failures: tuple = ()
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    subsets_full_rank: PropertyCheck      # property 1: alpha-subsets of Phi rows
-    psi_subsets_full_rank: PropertyCheck  # property 2: d-subsets of Psi rows
-    lambdas_distinct: bool                # property 3
-    seed: int
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,14 @@ class EncodingMatrix:
     xs: Optional[tuple]      # evaluation points when Vandermonde-built
 
 
-def _subset_iter(n: int, size: int, limit: int, samples: int, seed: int):
-    """All index subsets when few enough, else a seeded sample. Returns (mode, iterable)."""
-    total = math.comb(n, size)
-    if total <= limit:
-        return "exhaustive", total, itertools.combinations(range(n), size)
-    rng = random.Random(seed)
-    pool = list(range(n))
-    return "sampled", samples, (tuple(sorted(rng.sample(pool, size))) for _ in range(samples))
+def subset_cases(n: int, size: int, limit: int, samples: int, rng: random.Random):
+    """Every size-subset of range(n) when there are at most ``limit``, else ``samples`` drawn by ``rng``.
+
+    Returns (mode, list of sorted index tuples).
+    """
+    if math.comb(n, size) <= limit:
+        return "exhaustive", list(itertools.combinations(range(n), size))
+    return "sampled", [tuple(sorted(rng.sample(range(n), size))) for _ in range(samples)]
 
 
 def validate_properties(
@@ -116,46 +116,42 @@ def validate_properties(
     exhaustive_limit: int = 100_000,
     samples: int = 1000,
     seed: int = 0,
-) -> ValidationReport:
-    """Check the three construction properties, raising PropertyViolation on failure.
+) -> tuple:
+    """Check the three construction properties; returns one CheckResult row each.
 
-    1. every alpha-subset of Phi's rows is nonsingular;
-    2. every d-subset of Psi's rows is nonsingular;
-    3. the lambda entries are pairwise distinct.
+    1. ``property-1``: every alpha-subset of Phi's rows is nonsingular;
+    2. ``property-2``: every d-subset of Psi's rows is nonsingular;
+    3. ``property-3``: the n lambda entries are pairwise distinct.
 
-    Subset checks are exhaustive when the subset count is at most
-    ``exhaustive_limit``, otherwise ``samples`` subsets drawn with a seeded
-    generator.
+    A subset check is exhaustive when the subset count is at most
+    ``exhaustive_limit``, otherwise it runs ``samples`` subsets drawn by one
+    generator seeded with ``seed``.  The first failure raises
+    PropertyViolation; its ``check`` is the failed row.
     """
     n, d, alpha = params.n, params.d, params.alpha
-    _check_lambdas_distinct(lam)
+    distinct = _check_lambdas_distinct(lam)
     psi = psi_from_phi_lambda(params, phi, lam)
-
-    mode1, cases1, subsets = _subset_iter(n, alpha, exhaustive_limit, samples, seed)
-    for sub in subsets:
-        if phi.take_rows(sub).rank() < alpha:
-            raise PropertyViolation(1, sub, f"Phi rows {sub} are singular")
-
-    mode2, cases2, subsets = _subset_iter(n, d, exhaustive_limit, samples, seed + 1)
-    for sub in subsets:
-        if psi.take_rows(sub).rank() < d:
-            raise PropertyViolation(2, sub, f"Psi rows {sub} are singular")
-
-    return ValidationReport(
-        subsets_full_rank=PropertyCheck(mode1, cases1),
-        psi_subsets_full_rank=PropertyCheck(mode2, cases2),
-        lambdas_distinct=True,
-        seed=seed,
-    )
+    rng = random.Random(seed)
+    checks = []
+    for which, name, mat, size in ((1, "Phi", phi, alpha), (2, "Psi", psi, d)):
+        mode, subsets = subset_cases(n, size, exhaustive_limit, samples, rng)
+        for ran, sub in enumerate(subsets, 1):
+            if mat.take_rows(sub).rank() < size:
+                row = CheckResult(f"property-{which}", mode, ran, (sub,))
+                raise PropertyViolation(which, sub, f"{name} rows {sub} are singular", row)
+        checks.append(CheckResult(f"property-{which}", mode, len(subsets)))
+    return (*checks, distinct)
 
 
-def _check_lambdas_distinct(lam: Sequence[int]) -> None:
+def _check_lambdas_distinct(lam: Sequence[int]) -> CheckResult:
     """Property 3: raise PropertyViolation(3, (i, j)) for the first repeated lambda."""
     seen = {}
     for i, v in enumerate(lam):
         if v in seen:
-            raise PropertyViolation(3, (seen[v], i), f"lambda[{seen[v]}] == lambda[{i}] == {v}")
+            row = CheckResult("property-3", "exhaustive", i + 1, ((seen[v], i),))
+            raise PropertyViolation(3, (seen[v], i), f"lambda[{seen[v]}] == lambda[{i}] == {v}", row)
         seen[v] = i
+    return CheckResult("property-3", "exhaustive", len(lam))
 
 
 def psi_from_phi_lambda(params: CodeParams, phi: Matrix, lam: Sequence[int]) -> Matrix:

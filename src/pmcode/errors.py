@@ -43,12 +43,14 @@ class PropertyViolation(PmCodeError, ValueError):
     """A required construction property failed to hold.
 
     ``which`` is the property number (1, 2, or 3) and ``witness`` identifies
-    the offending row subset or value pair.
+    the offending row subset or value pair.  ``check``, when given, is the
+    failed ``CheckResult`` row: what the check ran up to the witness.
     """
 
-    def __init__(self, which: int, witness, message: str = ""):
+    def __init__(self, which: int, witness, message: str = "", check=None):
         self.which = which
         self.witness = witness
+        self.check = check
         text = message or f"property {which} violated (witness: {witness})"
         super().__init__(text)
 

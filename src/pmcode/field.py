@@ -83,9 +83,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
 
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
@@ -97,11 +94,6 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -169,9 +161,6 @@ class BinaryField:
 
     sub = add
 
-    def neg(self, a: int) -> int:
-        return a
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -184,15 +173,6 @@ class BinaryField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroInverse("0 has no multiplicative inverse")
-            return 0
-        return self.exp[(self.log[a] * e) % 255]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryField) and other.poly == self.poly

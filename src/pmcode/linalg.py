@@ -51,17 +51,6 @@ class Matrix:
         return m
 
     @classmethod
-    def diagonal(cls, field, entries: Sequence[int]) -> "Matrix":
-        m = cls.zeros(field, len(entries), len(entries))
-        for i, v in enumerate(entries):
-            m.data[i][i] = v
-        return m
-
-    @classmethod
-    def column(cls, field, entries: Sequence[int]) -> "Matrix":
-        return cls(field, [[v] for v in entries])
-
-    @classmethod
     def vstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
         if not blocks:
             raise DimensionMismatch("nothing to stack")
@@ -77,29 +66,11 @@ class Matrix:
         return cls(f, rows)
 
     @classmethod
-    def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
-        if not blocks:
-            raise DimensionMismatch("nothing to stack")
-        f = blocks[0].field
-        r = blocks[0].rows
-        for b in blocks:
-            if b.field != f:
-                raise FieldMismatch("stacked blocks live in different fields")
-            if b.rows != r:
-                raise DimensionMismatch("stacked blocks have different heights")
-        rows = [sum((b.data[i] for b in blocks), []) for i in range(r)]
-        return cls(f, rows)
-
-    @classmethod
     def from_columns(cls, field, columns: Sequence[Sequence[int]]) -> "Matrix":
         rows = len(columns[0])
         return cls(field, [[col[i] for col in columns] for i in range(rows)])
 
     # -- accessors ----------------------------------------------------------
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.data[i][j]
 
     def row(self, i: int) -> list[int]:
         if not 0 <= i < self.rows:
@@ -145,22 +116,6 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatch("cannot add matrices over different fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} + {other.rows}x{other.cols}"
-            )
-        add = self.field.add
-        return Matrix(
-            self.field,
-            [
-                [add(x, y) for x, y in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:

@@ -1,11 +1,12 @@
 import copy
+import inspect
 import math
 import random
 
 import numpy as np
 import pytest
 
-from pmcode import analysis
+from pmcode import analysis, cli
 from pmcode.analysis import (
     BenchResult,
     apply_rows_bulk,
@@ -23,10 +24,16 @@ from pmcode.construct import (
     build_sparse_systematic,
     build_vanilla_systematic,
 )
-from pmcode.core import build_params, random_message
+from pmcode.core import (
+    CheckResult,
+    PmVandermondeCode,
+    build_params,
+    encoding_from_phi_lambda,
+    random_message,
+)
 from pmcode.errors import FieldMismatch
 from pmcode.field import field_of_order
-from pmcode.linalg import Matrix
+from pmcode.linalg import Matrix, vandermonde
 
 from golden_vectors import G_SPARSE_SYS
 
@@ -75,30 +82,72 @@ def test_sparsity_report_serialization():
 
 def test_certify_passes_exhaustively_on_small_code():
     code = build_sparse_systematic(8, 4, 6)
-    record = certify(code, seed=1, decode_samples=70)
+    assert code.params.field.order == 11
+    record = certify(code, seed=1)
     assert record.passed
-    by_name = {c.name: c for c in record.checks}
-    assert by_name["k-subset-rank"].mode == "exhaustive"
-    assert by_name["k-subset-rank"].cases == math.comb(8, 4)
-    assert by_name["decode-roundtrip"].cases == 70
-    assert by_name["repair-exact"].mode == "exhaustive"
-    assert by_name["repair-exact"].cases == 8 * math.comb(7, 6)
-    assert by_name["construction-properties"].ok
-    assert by_name["systematic-top-block"].cases == 12
+    assert [(c.name, c.mode, c.cases) for c in record.checks] == [
+        ("property-1", "exhaustive", math.comb(8, 3)),
+        ("property-2", "exhaustive", math.comb(8, 6)),
+        ("property-3", "exhaustive", 8),
+        ("k-subset-rank", "exhaustive", math.comb(8, 4)),
+        ("decode-roundtrip", "sampled", 10),  # 10 of the 70 k-subsets
+        ("repair-exact", "exhaustive", 8 * math.comb(7, 6)),
+        ("systematic-top-block", "exhaustive", 12),
+    ]
     assert "passed: True" in record.to_text()
+    assert "check decode-roundtrip: sampled cases=10 ok" in record.to_text()
     assert len(record.to_tsv_rows()) == len(record.checks)
 
 
-def test_certify_sampled_mode():
+def test_certify_decodes_every_subset_only_when_the_budget_covers_them(monkeypatch):
+    monkeypatch.setattr(analysis, "DECODES", 70)
+    row = {c.name: c for c in certify(build_sparse_systematic(8, 4, 6)).checks}["decode-roundtrip"]
+    assert (row.mode, row.cases, row.ok) == ("exhaustive", 70, True)
+
+
+def test_certify_sampled_mode(monkeypatch):
+    for name, value in [("PROPERTY_LIMIT", 10), ("PROPERTY_SAMPLES", 6), ("SUBSET_LIMIT", 10),
+                        ("SUBSET_SAMPLES", 8), ("DECODES", 4), ("REPAIR_LIMIT", 10), ("REPAIR_SAMPLES", 5)]:
+        monkeypatch.setattr(analysis, name, value)
     code = build_sparse_systematic(12, 6, 10)
-    record = certify(
-        code, seed=3, subset_limit=10, samples=8, decode_samples=4, repair_limit=10
-    )
+    record = certify(code, seed=3)
     assert record.passed
-    by_name = {c.name: c for c in record.checks}
-    assert by_name["k-subset-rank"].mode == "sampled"
-    assert by_name["k-subset-rank"].cases == 8
-    assert by_name["repair-exact"].mode == "sampled"
+    assert [(c.name, c.mode, c.cases) for c in record.checks] == [
+        ("property-1", "sampled", 6),
+        ("property-2", "sampled", 6),
+        ("property-3", "exhaustive", 12),
+        ("k-subset-rank", "sampled", 8),
+        ("decode-roundtrip", "sampled", 4),
+        ("repair-exact", "sampled", 5),
+        ("systematic-top-block", "exhaustive", code.params.B),
+    ]
+    # the same seed draws the same cases
+    assert certify(code, seed=3) == record
+
+
+def test_certify_takes_only_a_code_and_a_seed():
+    assert list(inspect.signature(certify).parameters) == ["code", "seed"]
+
+
+def test_certify_records_a_property_violation_and_runs_the_rest(capsys, monkeypatch):
+    # over F_13 with alpha = 2, 10^2 == 3^2: lambdas 2 and 3 collide
+    params = build_params(6, 3, 4, field_of_order(13))
+    xs = [1, 2, 3, 10, 4, 5]
+    phi = vandermonde(params.field, xs, 2)
+    code = PmVandermondeCode(encoding_from_phi_lambda(params, phi, phi.column_vector(1), xs, validate=False))
+    record = certify(code)
+    assert not record.passed
+    rows = {c.name: c for c in record.checks}
+    assert rows["property-3"] == CheckResult("property-3", "exhaustive", 4, ((2, 3),))
+    assert "property-1" not in rows and "property-2" not in rows
+    assert {"k-subset-rank", "decode-roundtrip", "repair-exact"} <= set(rows)
+    # the collision makes the blocks holding nodes 2 and 3 singular, which the later rows see
+    assert (0, 2, 3) in rows["k-subset-rank"].failures
+    assert all({2, 3} <= set(ids) for ids in rows["decode-roundtrip"].failures)
+
+    monkeypatch.setitem(cli._BUILDERS, "sparse", lambda n, k, d, field: code)
+    assert cli.main(["certify", "--n", "6", "--k", "3", "--d", "4"]) == 1
+    assert "check property-3: exhaustive cases=4 FAILED [(2, 3)]" in capsys.readouterr().out
 
 
 def test_certify_catches_parity_corruption():

@@ -302,10 +302,22 @@ def test_certify_cli(tmp_path, capsys):
     assert "passed: True" in captured
     assert "repair-exact: exhaustive cases=56 ok" in captured
 
+    assert "property-1: exhaustive cases=56 ok" in captured
+    assert "decode-roundtrip: sampled cases=10 ok" in captured
+
     assert run("certify", "--n", 8, "--k", 4, "--d", 6, "--q", 11,
                "--construction", "vanilla", "--tsv") == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert all(row.endswith("ok") for row in rows)
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--subset-limit", "--decode-samples", "--repair-limit"])
+def test_certify_budgets_are_not_options(capsys, flag):
+    # a zero budget used to let certify run no cases and still print "passed: True"
+    with pytest.raises(SystemExit) as exc:
+        run("certify", "--n", 8, "--k", 4, "--d", 6, "--q", 11, flag, 0)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_certify_needs_a_code_selection(capsys):
@@ -328,6 +340,28 @@ def test_bench_cli_smoke(capsys):
     captured = capsys.readouterr().out
     assert "measured_speedup:" in captured
     assert "predicted_speedup:" in captured
+
+
+@pytest.mark.parametrize("q", [12, 2**31 + 11], ids=["composite", "too-large"])
+@pytest.mark.parametrize("command", ["gen", "certify", "analyze", "bench"])
+def test_bad_modulus_is_a_cli_error(tmp_path, capsys, command, q):
+    extra = ["--out-dir", tmp_path / "g"] if command == "gen" else []
+    assert run(command, "--n", 8, "--k", 4, "--d", 6, "--q", q, *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --q: modulus {q} ")
+    assert "descriptor" not in err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize(
+    "mib, reps, bad",
+    [(0.01, 0, "--reps"), (0.01, -2, "--reps"), ("nan", 1, "--mib"), ("inf", 1, "--mib"),
+     (-1, 1, "--mib"), (0, 1, "--mib")],
+    ids=["reps-0", "reps-negative", "mib-nan", "mib-inf", "mib-negative", "mib-0"],
+)
+def test_bench_rejects_counts_it_cannot_run(capsys, mib, reps, bad):
+    assert run("bench", "--n", 8, "--k", 4, "--d", 6, "--gf256", "--mib", mib, "--reps", reps) == 2
+    assert f"error: {bad} must be" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from pmcode.core import (
+    CheckResult,
     MessageMatrix,
     PmVandermondeCode,
     build_params,
@@ -22,6 +23,7 @@ from pmcode.core import (
     has_identity_block,
     pack_message,
     random_message,
+    subset_cases,
     sym_index,
     unpack_message,
     validate_properties,
@@ -101,23 +103,33 @@ def test_vandermonde_encoding_matches_reference():
 
 def test_validation_report_exhaustive_counts():
     enc = build_vandermonde_encoding(build_params(8, 4, 6, F11))
-    rep = validate_properties(enc.params, enc.phi, list(enc.lam))
-    assert rep.subsets_full_rank.mode == "exhaustive"
-    assert rep.subsets_full_rank.cases == 56   # C(8,3)
-    assert rep.psi_subsets_full_rank.mode == "exhaustive"
-    assert rep.psi_subsets_full_rank.cases == 28  # C(8,6)
-    assert rep.lambdas_distinct
+    rows = validate_properties(enc.params, enc.phi, list(enc.lam))
+    assert rows == (
+        CheckResult("property-1", "exhaustive", 56),  # C(8,3)
+        CheckResult("property-2", "exhaustive", 28),  # C(8,6)
+        CheckResult("property-3", "exhaustive", 8),
+    )
+    assert all(c.ok for c in rows)
 
 
 def test_validation_sampled_mode_is_seeded():
     params = build_params(8, 4, 6, F11)
     enc = build_vandermonde_encoding(params)
-    rep = validate_properties(params, enc.phi, list(enc.lam), exhaustive_limit=0, samples=50, seed=123)
-    assert rep.subsets_full_rank.mode == "sampled"
-    assert rep.subsets_full_rank.cases == 50
+    rows = validate_properties(params, enc.phi, list(enc.lam), exhaustive_limit=0, samples=50, seed=123)
+    assert [(c.name, c.mode, c.cases) for c in rows] == [
+        ("property-1", "sampled", 50), ("property-2", "sampled", 50), ("property-3", "exhaustive", 8),
+    ]
     # same seed revalidates identically
     again = validate_properties(params, enc.phi, list(enc.lam), exhaustive_limit=0, samples=50, seed=123)
-    assert again == rep
+    assert again == rows
+
+
+def test_subset_cases_is_exhaustive_up_to_the_limit_then_seeded():
+    assert subset_cases(5, 2, 10, 3, random.Random(0)) == ("exhaustive", list(itertools.combinations(range(5), 2)))
+    mode, drawn = subset_cases(5, 2, 9, 3, random.Random(4))
+    assert (mode, len(drawn)) == ("sampled", 3)
+    assert all(len(set(s)) == 2 and list(s) == sorted(s) for s in drawn)
+    assert subset_cases(5, 2, 9, 3, random.Random(4)) == (mode, drawn)
 
 
 def test_property3_violation_duplicate_lambdas():
@@ -127,6 +139,7 @@ def test_property3_violation_duplicate_lambdas():
         build_vandermonde_encoding(params, xs=[1, 2, 3, 10, 4, 5])
     assert exc.value.which == 3
     assert exc.value.witness == (2, 3)
+    assert exc.value.check == CheckResult("property-3", "exhaustive", 4, ((2, 3),))
 
 
 def test_property1_violation_singular_phi_rows():
@@ -136,6 +149,7 @@ def test_property1_violation_singular_phi_rows():
         encoding_from_phi_lambda(params, phi, [1, 2, 3, 4, 5])
     assert exc.value.which == 1
     assert exc.value.witness == (0, 1)
+    assert exc.value.check == CheckResult("property-1", "exhaustive", 1, ((0, 1),))
 
 
 def test_property2_violation_singular_psi_rows():
@@ -147,11 +161,12 @@ def test_property2_violation_singular_psi_rows():
         encoding_from_phi_lambda(params, phi, lam)
     assert exc.value.which == 2
     assert exc.value.witness == (0, 1, 2, 3)
+    assert exc.value.check == CheckResult("property-2", "exhaustive", 1, ((0, 1, 2, 3),))
 
 
 def test_gf256_encoding_validates():
     enc = build_vandermonde_encoding(build_params(8, 4, 6, GF256))
-    assert validate_properties(enc.params, enc.phi, list(enc.lam)).lambdas_distinct
+    assert all(c.ok for c in validate_properties(enc.params, enc.phi, list(enc.lam)))
     assert len(set(enc.lam)) == 8
     # points are a consecutive run chosen deterministically
     s = enc.xs[0]

@@ -9,7 +9,7 @@ same matrices and a passing exhaustive report.
 
 import pytest
 
-from pmcode import analysis
+from pmcode.analysis import certify
 from pmcode.cli import code_from_descriptor, descriptor_for
 from pmcode.construct import build_sparse_systematic, choose_prime_encoding, sparsify_encoding
 from pmcode.core import build_params, build_vandermonde_encoding, validate_properties
@@ -30,7 +30,7 @@ def _is_prime(q: int) -> bool:
 
 
 def reference_points(params):
-    """First candidate run that passes the full check, with its report.
+    """First candidate run that passes the full check, with its property rows.
 
     Prime fields try 1..n only; GF(2^8) tries the runs s..s+n-1 in order.
     """
@@ -77,7 +77,7 @@ def _assert_same_as_reference(enc, params, xs, report):
     phi = vandermonde(params.field, xs, params.alpha)
     assert enc.phi == phi
     assert list(enc.lam) == phi.column_vector(params.alpha - 1)
-    assert report.subsets_full_rank.mode == report.psi_subsets_full_rank.mode == "exhaustive"
+    assert [c.mode for c in report] == ["exhaustive"] * 3
     assert validate_properties(params, enc.phi, list(enc.lam)) == report
 
 
@@ -140,7 +140,7 @@ def test_explicit_repeated_point_is_still_rejected_by_vandermonde():
 def test_build_makes_no_rank_calls_until_validation_is_read(rank_calls):
     enc = build_vandermonde_encoding(build_params(8, 4, 6, F11))
     assert rank_calls == []
-    assert validate_properties(enc.params, enc.phi, list(enc.lam)).lambdas_distinct
+    assert all(c.ok for c in validate_properties(enc.params, enc.phi, list(enc.lam)))
     assert len(rank_calls) == 56 + 28  # C(8,3) + C(8,6)
 
 
@@ -148,8 +148,8 @@ def test_sparsify_checks_nothing(rank_calls):
     params = build_params(8, 4, 6, F11)
     sparse = sparsify_encoding(build_vandermonde_encoding(params))
     assert rank_calls == []
-    rep = validate_properties(params, sparse.phi, list(sparse.lam))
-    assert rep.subsets_full_rank.mode == rep.psi_subsets_full_rank.mode == "exhaustive"
+    rows = validate_properties(params, sparse.phi, list(sparse.lam))
+    assert [c.mode for c in rows] == ["exhaustive"] * 3
 
 
 def test_paper_code_rebuilds_without_rank_calls(rank_calls):
@@ -161,16 +161,13 @@ def test_paper_code_rebuilds_without_rank_calls(rank_calls):
     assert rebuilt.generator == code.generator
 
 
-def test_certify_still_runs_the_exhaustive_check(monkeypatch):
-    reports = []
-
-    def recording(*args, **kwargs):
-        reports.append(validate_properties(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(analysis, "validate_properties", recording)
+def test_certify_still_runs_the_exhaustive_check(rank_calls):
     code = build_sparse_systematic(8, 4, 6, field=F11)
-    record = analysis.certify(code)
-    check = {c.name: c for c in record.checks}["construction-properties"]
-    assert check.ok and check.mode == "recomputed"
-    assert [r.subsets_full_rank.mode for r in reports] == ["exhaustive"]
+    rank_calls.clear()
+    record = certify(code)
+    rows = {c.name: (c.mode, c.cases, c.ok) for c in record.checks}
+    assert rows["property-1"] == ("exhaustive", 56, True)
+    assert rows["property-2"] == ("exhaustive", 28, True)
+    assert rows["property-3"] == ("exhaustive", 8, True)
+    # the property rows and the k-subset-rank row are every rank computation made
+    assert len(rank_calls) == 56 + 28 + rows["k-subset-rank"][1]
