@@ -3,9 +3,12 @@
 The bulk kernels here process whole stripe batches: one stripe is a column
 of a (B x S) array, and every generator row is accumulated term by term over
 its nonzero entries, so encoding cost tracks the generator's nonzero count.
-Over GF(2^8) a term is one ``bytes.translate`` through a product-table row
-plus one XOR, on column chunks of a few MiB; over prime fields it is an
-int64 multiply-accumulate.  The same kernels back ``encode_stripes`` and the
+Over GF(2^8) the stripes are laid out in packets (Blomer et al., ICSI
+TR-95-048; Plank & Xu, IEEE NCA 2006): a block of 8 * ``PACKET`` stripes
+holds bit b of its virtual symbols in packet b, a coefficient is its 8x8
+bitmatrix over GF(2), and each 1 in it is one XOR of a ``PACKET``-byte
+packet.  Over prime fields a term is an int32 (int64 for large moduli)
+multiply-accumulate.  The same kernels back ``encode_stripes`` and the
 ``LinearCode`` bulk repair and decode methods, which the command-line
 encode, repair and decode paths call on one chunk of ``chunk_stripes``
 stripes at a time.
@@ -18,6 +21,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,69 +259,119 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
 # bulk kernels
 # ---------------------------------------------------------------------------
 
-# Byte budget of the kernel's working arrays: source bytes per column chunk
-# of the GF(2^8) kernel, and input plus output rows per streamed chunk (see
+# Byte budget of a streamed chunk's input plus output kernel rows (see
 # ``chunk_stripes``).  Small enough to stay cache-resident, large enough that
 # per-call overhead is negligible.
 _CHUNK_BYTES = 4 << 20
+
+# GF(2^8) packet size in bytes: a block is 8 * PACKET stripes.  numpy costs
+# about 1 us per call, so smaller packets spend their time in calls; a
+# streamed chunk is at least one block, so larger ones raise peak memory.
+PACKET = 4 << 10
+
+
+def shard_layout(field) -> dict:
+    """How a shard body lays out its symbols: the descriptor's ``layout``."""
+    if field.kind == "binary8":
+        return {"kind": "packets", "packet_bytes": PACKET}
+    return {"kind": "u32be"}
+
+
+def _prime_dtype(q: int):
+    """The kernel's accumulator: int32 while (q-1)^2 + q fits, else int64."""
+    return np.dtype(np.int32 if (q - 1) ** 2 + q < 1 << 31 else np.int64)
 
 
 def chunk_stripes(field, rows_in: int, rows_out: int) -> int:
     """Stripes per streamed chunk: ``rows_in`` + ``rows_out`` kernel rows fit ``_CHUNK_BYTES``.
 
-    Kernel rows are uint8 over GF(2^8) and int64 over prime fields.
+    Kernel rows are uint8 over GF(2^8), where a chunk is a whole number of
+    blocks and at least one, and ``_prime_dtype`` over prime fields.
     """
-    itemsize = 1 if field.kind == "binary8" else 8
-    return max(1, _CHUNK_BYTES // (itemsize * (rows_in + rows_out)))
+    if field.kind == "binary8":
+        block = 8 * PACKET
+        return block * max(1, _CHUNK_BYTES // (block * (rows_in + rows_out)))
+    return max(1, _CHUNK_BYTES // (_prime_dtype(field.q).itemsize * (rows_in + rows_out)))
 
 
-def _row_terms(mat: Matrix, skip_zeros: bool) -> list[list[tuple[int, int]]]:
-    if skip_zeros:
-        return [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
-    return [list(enumerate(row)) for row in mat.data]
+@lru_cache(maxsize=16)
+def _xor_schedule(field, coefficients: bytes, cols: int) -> tuple[list, list]:
+    """(copies, schedule) for a matrix given row-major, one byte per entry.
+
+    A row whose one nonzero is a 1 copies its input row: ``copies`` lists
+    them as (row r, input row j).  ``schedule`` lists, for every output
+    packet o = 8r+bo of the other rows, the input packets 8j+bi it XORs: the
+    1s of coefficient c's 8x8 bitmatrix, at (bo, bi) when bit bo of c*x^bi
+    is set.  The cache lets every chunk of a command reuse its matrix's.
+    """
+    products = np.frombuffer(b"".join(field.product_tables), dtype=np.uint8).reshape(256, 256)
+    powers = products[:, 1 << np.arange(8)]  # [c, bi] = c * x^bi
+    bits = (powers[:, None, :] >> np.arange(8)[:, None]) & 1  # [c, bo, bi]
+    mat = np.frombuffer(coefficients, dtype=np.uint8).reshape(-1, cols)
+    unit = (np.count_nonzero(mat, axis=1) == 1) & (mat.max(axis=1) == 1)
+    copies = [(r, int(np.argmax(mat[r]))) for r in np.flatnonzero(unit)]
+    ones = bits[mat].transpose(0, 2, 1, 3).reshape(-1, cols * 8)  # [8r+bo, 8j+bi]
+    return copies, [(o, np.flatnonzero(row)) for o, row in enumerate(ones) if not unit[o >> 3]]
+
+
+def _xor_packets(schedule, data: np.ndarray, out: np.ndarray, s0: int, packet: int) -> None:
+    """Stripes s0 .. s0 + 8*packet of ``out``: one block, one gather-XOR per scheduled packet."""
+    s1 = s0 + 8 * packet
+    src = np.ascontiguousarray(data[:, s0:s1]).reshape(-1, packet)
+    dst = out[:, s0:s1].reshape(out.shape[0], 8, packet)  # a view: packet b of row r is dst[r, b]
+    for o, idx in schedule:
+        np.bitwise_xor.reduce(src[idx], axis=0, out=dst[o >> 3, o & 7])
 
 
 def apply_rows_bulk(field, mat: Matrix, data: np.ndarray, skip_zeros: bool = True) -> np.ndarray:
-    """mat @ data over the field, data columns being independent stripes.
+    """mat applied to the stripes that are ``data``'s columns, stripe 0 first.
 
-    GF(2^8) terms run on column chunks of at most ``_CHUNK_BYTES`` source
-    bytes: each source row is copied once per chunk, a coefficient c != 1
-    costs one ``bytes.translate`` plus one XOR and a unit term one XOR, so
-    every nonzero costs the same.  Prime-field data is first made one C-order
-    int64 array (no copy when it already is one); a term c != 1 is then one
-    multiply into a scratch row plus one add, and a unit term one add.
-    ``data`` may be any 2-D view, including a transposed one.
+    Over a prime field each stripe is a column of symbols and the result is
+    mat @ data.  Over GF(2^8) the stripes are cut into blocks of
+    8 * ``PACKET`` from stripe 0.  Packet b of a block (stripes b*PACKET ..
+    (b+1)*PACKET) holds bit b of PACKET * 8 virtual symbols, and every 1 in
+    a coefficient's bitmatrix (``_xor_schedule``) is one packet XOR, so a
+    coefficient costs its bitmatrix ones and a zero costs nothing,
+    ``skip_zeros`` or not; a row whose one nonzero is a 1, as a systematic
+    row is, is one row copy.  The last, partial block of w stripes uses
+    packets of w // 8 bytes; its final w % 8 stripes go symbol by symbol
+    through ``Matrix.mul_vector``.  Prime-field data is first made one C-order
+    ``_prime_dtype`` array (no copy when it already is one); a term c != 1 is
+    then one multiply into a scratch row plus one add, and a unit term one
+    add.  ``data`` may be any 2-D view, including a transposed one.
     """
     if data.shape[0] != mat.cols:
         raise DimensionMismatch(f"data has {data.shape[0]} rows, matrix wants {mat.cols}")
-    terms = _row_terms(mat, skip_zeros)
     if field.kind == "binary8":
         if data.dtype != np.uint8:
             raise FieldMismatch(f"GF(2^8) stripes must be uint8, got {data.dtype}")
-        tables = field.product_tables
+        copies, schedule = _xor_schedule(field, b"".join(bytes(row) for row in mat.data), mat.cols)
         stripes = data.shape[1]
-        out = np.zeros((mat.rows, stripes), dtype=np.uint8)
-        width = _CHUNK_BYTES // mat.cols
-        for s0 in range(0, stripes, width):
-            s1 = min(s0 + width, stripes)
-            src = [data[j, s0:s1].tobytes() for j in range(mat.cols)]
-            for r, row_terms in enumerate(terms):
-                acc = out[r, s0:s1]
-                for j, c in row_terms:
-                    prod = src[j] if c == 1 else src[j].translate(tables[c])
-                    acc ^= np.frombuffer(prod, dtype=np.uint8)
-            del src  # free this chunk's copies before the next chunk's are made
+        out = np.empty((mat.rows, stripes), dtype=np.uint8)
+        for r, j in copies:
+            out[r] = data[j]
+        if schedule:
+            block = 8 * PACKET
+            full = stripes - stripes % block
+            for s0 in range(0, full, block):
+                _xor_packets(schedule, data, out, s0, PACKET)
+            if stripes - full >= 8:
+                _xor_packets(schedule, data, out, full, (stripes - full) // 8)
+        for s in range(stripes - stripes % 8, stripes):
+            out[:, s] = mat.mul_vector([int(x) for x in data[:, s]])
         return out
     q = field.q
-    data = np.ascontiguousarray(data, dtype=np.int64)  # copies only to convert
-    # keep partial sums below 2^62 before reducing
-    stride = max(1, (1 << 62) // (q * q))
-    out = np.zeros((mat.rows, data.shape[1]), dtype=np.int64)
-    prod = np.empty(data.shape[1], dtype=np.int64)
-    for r, row_terms in enumerate(terms):
+    data = np.ascontiguousarray(data, dtype=_prime_dtype(q))  # copies only to convert
+    # keep partial sums below a quarter of the dtype's range before reducing
+    stride = max(1, (1 << (8 * data.itemsize - 2)) // (q * q))
+    out = np.zeros((mat.rows, data.shape[1]), dtype=data.dtype)
+    prod = np.empty(data.shape[1], dtype=data.dtype)
+    for r, row in enumerate(mat.data):
         acc = out[r]
         since_mod = 0
-        for j, c in row_terms:
+        for j, c in enumerate(row):
+            if c == 0 and skip_zeros:
+                continue
             if c == 1:
                 acc += data[j]
             else:

@@ -11,27 +11,35 @@ Subcommands:
 * ``analyze``  print a generator sparsity report
 * ``bench``    time sparse vs dense encoding on a seeded workload
 
-The descriptor (``descriptor.json``) pins everything needed to rebuild the
-code deterministically: parameters, field, construction route, seed, the
-evaluation points actually chosen, and sha256 hashes of the generated matrix
-files.  Shard files carry a fixed 60-byte header::
+The descriptor (``descriptor.json``, format ``pmcode-descriptor-v2``) pins
+everything needed to rebuild the code deterministically: parameters, field,
+construction route, seed, the evaluation points actually chosen, sha256
+hashes of the generated matrix files, and the shard ``layout``
+(``analysis.shard_layout``).  A v1 descriptor has no layout; its prime-field
+shards are read as they are, and a v1 GF(2^8) descriptor is refused, since
+its shards hold bytes rather than packets.  Shard files carry a fixed
+60-byte header::
 
     magic "PMSHARD1" | sha256(descriptor file) | node id u32 BE
     | stripe count u64 BE | payload byte length u64 BE
 
-followed by alpha rows of ``stripes`` symbols each: 1 byte per symbol for
-the 256-element binary field, u32 big-endian per symbol for prime fields.
+followed by alpha rows of ``stripes`` stripes each: u32 big-endian per
+symbol for prime fields, and for GF(2^8) one byte per stripe in the packet
+layout of ``analysis.apply_rows_bulk``, in which the first k nodes still
+hold the message bytes as they are.
 
 ``encode``, ``repair`` and ``decode`` stream the stripes in chunks of
-``analysis.chunk_stripes`` stripes, so their peak memory is bounded by the
-chunk, not by the object.  Each chunk is read in place (``readinto`` on the
-input file, one ``preadv`` per stored-row segment of a shard, each shard byte
-once, after a header and file-size check) and each result is written at its
-offset with ``pwrite``.  Every output goes to a temporary file beside it,
-which replaces the destination only after the last chunk and is removed on
-any error, so a failed command leaves no partial output.  The field
-arithmetic is in ``analysis.encode_stripes`` and the ``LinearCode`` bulk
-methods; this module does file I/O and argument handling.
+``analysis.chunk_stripes`` stripes (whole packet blocks over GF(2^8)), so
+their peak memory is bounded by the chunk, not by the object.  Each chunk is
+read in place (``readinto`` on the input file, one ``preadv`` per stored-row
+segment of a shard, each shard byte once, after a header and file-size
+check) and each result is written at its offset with ``pwrite``.  Every
+output goes to a temporary file beside it, which replaces the destination
+only after the last chunk and is removed on any error, so a failed command
+leaves no partial output.  ``decode`` also checks that the last stripe's
+bytes past the payload length decode to zero.  The field arithmetic is in
+``analysis.encode_stripes`` and the ``LinearCode`` bulk methods; this module
+does file I/O and argument handling.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from .analysis import (
     certify,
     chunk_stripes,
     encode_stripes,
+    shard_layout,
     sparsity_report,
     underlying_encoding,
 )
@@ -69,7 +78,8 @@ from .construct import (
 from .errors import BadCount, BadHelperCount, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
 
-DESCRIPTOR_FORMAT = "pmcode-descriptor-v1"
+DESCRIPTOR_FORMAT = "pmcode-descriptor-v2"
+DESCRIPTOR_V1 = "pmcode-descriptor-v1"
 MAGIC = b"PMSHARD1"
 _HEADER = struct.Struct(">8s32sIQQ")
 
@@ -144,6 +154,7 @@ def descriptor_for(code, construction: str, seed: int) -> dict:
         "construction": construction,
         "seed": seed,
         "field": _field_to_json(p.field),
+        "layout": shard_layout(p.field),
         "xs": list(enc.xs),
         "parent": None,
         "hashes": {
@@ -165,8 +176,9 @@ def _check_descriptor(desc) -> None:
     """Raise CliError unless every key code_from_descriptor reads has its JSON type."""
     if type(desc) is not dict:
         raise CliError(f"descriptor must be a JSON object, not {type(desc).__name__}")
-    if desc.get("format") != DESCRIPTOR_FORMAT:
-        raise CliError(f"unsupported descriptor format {desc.get('format')!r}")
+    version = desc.get("format")
+    if version not in (DESCRIPTOR_FORMAT, DESCRIPTOR_V1):
+        raise CliError(f"unsupported descriptor format {version!r}")
     for key, kind in _DESCRIPTOR_KEYS.items():
         if key not in desc:
             raise CliError(f"descriptor is missing {key!r}")
@@ -178,6 +190,24 @@ def _check_descriptor(desc) -> None:
         raise CliError(f"unknown field kind {fd.get('kind')!r}")
     if type(fd.get(number)) is not int:
         raise CliError(f"descriptor field of kind {fd['kind']!r} needs an integer {number!r}")
+
+
+def _check_layout(desc, field) -> None:
+    """Raise CliError unless the descriptor's shards are laid out as this version reads them.
+
+    v1 has no ``layout``: its prime-field shards are laid out as v2's, but
+    its GF(2^8) shards hold one symbol per byte, not packets.
+    """
+    if desc["format"] == DESCRIPTOR_V1:
+        if field.kind == "binary8":
+            raise CliError(
+                f"{DESCRIPTOR_V1} GF(2^8) shards use the byte layout this version no longer reads; "
+                "run gen again and re-encode the data"
+            )
+    elif desc.get("layout") != shard_layout(field):
+        raise CliError(
+            f"descriptor layout {desc.get('layout')!r} is not {shard_layout(field)!r}; re-encode the data"
+        )
 
 
 def load_descriptor(path) -> tuple[dict, bytes]:
@@ -197,6 +227,7 @@ def code_from_descriptor(desc: dict):
     if construction not in _BUILDERS:
         raise CliError(f"unknown construction {construction!r}")
     field = _field_from_json(desc["field"])
+    _check_layout(desc, field)
     code = _BUILDERS[construction](desc["n"], desc["k"], desc["d"], field=field)
     enc = underlying_encoding(code)
     if list(enc.xs) != list(desc["xs"]):
@@ -473,7 +504,11 @@ def cmd_decode(args) -> int:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")
             data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)
             # the header check makes this positive for all but an empty payload
-            _pwrite_all(fd, memoryview(data)[: payload_len - s0 * p.B], s0 * p.B)
+            valid = payload_len - s0 * p.B
+            if data[valid:].any():
+                raise CliError(f"decoded padding past payload length {payload_len} is not zero; "
+                               "the shards or their payload length are wrong")
+            _pwrite_all(fd, memoryview(data)[:valid], s0 * p.B)
     print(f"decoded {payload_len} bytes from nodes {','.join(str(i) for i in ids)} -> {args.out}")
     return 0
 

@@ -292,35 +292,35 @@ def _eliminate_prime(rows, q, reduce, limit_cols):
 
 
 def _eliminate_gf256(rows, field, reduce, limit_cols):
-    exp, log = field.exp, field.log
-    nrows = len(rows)
+    # rows are worked on as bytes, as in _matmul_gf256: scaling a row is one
+    # bytes.translate, and a row update an XOR of two rows read as ints
+    tables = field.product_tables
+    width = len(rows[0])
+    work = [bytes(r) for r in rows]
+    nrows = len(work)
     rank = 0
     for col in range(limit_cols):
         if rank == nrows:
             break
         piv = None
         for i in range(rank, nrows):
-            if rows[i][col]:
+            if work[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
         if prow[col] != 1:
-            li = (255 - log[prow[col]]) % 255
-            prow[:] = [exp[(log[x] + li) % 255] if x else 0 for x in prow]
+            prow = work[rank] = prow.translate(tables[field.inv(prow[col])])
         span = range(nrows) if reduce else range(rank + 1, nrows)
         for i in span:
             if i == rank:
                 continue
-            f = rows[i][col]
+            f = work[i][col]
             if f:
-                lf = log[f]
-                ri = rows[i]
-                ri[:] = [
-                    x ^ exp[(lf + log[y]) % 255] if y else x
-                    for x, y in zip(ri, prow)
-                ]
+                acc = int.from_bytes(work[i], "big") ^ int.from_bytes(prow.translate(tables[f]), "big")
+                work[i] = acc.to_bytes(width, "big")
         rank += 1
+    rows[:] = [list(r) for r in work]
     return rank

@@ -36,6 +36,7 @@ from pmcode.field import field_of_order
 from pmcode.linalg import Matrix, vandermonde
 
 from golden_vectors import G_SPARSE_SYS
+from packet_oracle import from_symbols, packet_oracle, to_symbols
 
 
 def test_sparsity_report_matches_direct_counts():
@@ -196,6 +197,8 @@ def test_apply_rows_bulk_matches_per_stripe_mul():
         )
         data = random_stripes(field, 5, 9, seed=2)
         out = apply_rows_bulk(field, mat, data)
+        if q == 256:  # GF(2^8) stripes hold packets: compare their virtual symbols
+            data, out = to_symbols(data, analysis.PACKET), to_symbols(out, analysis.PACKET)
         for s in range(9):
             col = [int(data[t][s]) for t in range(5)]
             assert [int(out[r][s]) for r in range(7)] == mat.mul_vector(col)
@@ -219,24 +222,51 @@ def test_apply_rows_bulk_every_gf256_coefficient(skip_zeros):
     mat = Matrix(field, [[c] for c in range(256)])
     data = np.arange(256, dtype=np.uint8)[None, :]
     out = apply_rows_bulk(field, mat, data, skip_zeros=skip_zeros)
-    assert np.array_equal(out, _per_symbol(field, mat, data))
+    symbols = to_symbols(data, analysis.PACKET)
+    assert np.array_equal(out, from_symbols(_per_symbol(field, mat, symbols), analysis.PACKET))
 
 
 @pytest.mark.parametrize("skip_zeros", [True, False])
 @pytest.mark.parametrize("stripes", [1, 15, 16, 17, 70])
 def test_apply_rows_bulk_gf256_chunk_edges(monkeypatch, stripes, skip_zeros):
-    # 64 bytes over 4 source rows: chunks of 16 stripes
-    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 64)
+    # 2-byte packets: blocks of 16 stripes, and a partial block of w stripes
+    # has w // 8 bytes per packet and w % 8 stripes left to the symbol path
+    monkeypatch.setattr(analysis, "PACKET", 2)
     field = field_of_order(256)
     rng = random.Random(stripes)
     row_values = [0, 1, 2, 255]
     mat = Matrix(field, [[rng.choice(row_values) for _ in range(4)] for _ in range(5)])
     data = random_stripes(field, 4, stripes, seed=stripes)
     out = apply_rows_bulk(field, mat, data, skip_zeros=skip_zeros)
-    assert np.array_equal(out, _per_symbol(field, mat, data))
+    assert np.array_equal(out, packet_oracle(field, mat, data, 2))
     # the transposed view encode passes in gives the same result
     strided = np.ascontiguousarray(data.T).T
     assert np.array_equal(apply_rows_bulk(field, mat, strided, skip_zeros=skip_zeros), out)
+
+
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [(0, 1), (0, 7), (0, 8), (0, 9), (1, -1), (1, 0), (1, 5), (3, 13)],
+    ids=["1", "7", "8", "9", "8P-1", "8P", "8P+5", "3x8P+13"],
+)
+def test_apply_rows_bulk_packet_layout_every_coefficient(blocks, extra):
+    # w = blocks * 8P + extra stripes at the real packet size P, every nonzero coefficient
+    packet = analysis.PACKET
+    stripes = blocks * 8 * packet + extra
+    field = field_of_order(256)
+    mat = Matrix(field, [[c] for c in range(1, 256)])
+    data = random_stripes(field, 1, 2 * stripes, seed=stripes)[:, ::2]  # a strided view
+    out = apply_rows_bulk(field, mat, data)
+    assert np.array_equal(out, packet_oracle(field, mat, data, packet))
+    assert np.array_equal(out[0], data[0])  # a unit coefficient copies: systematic rows stay bytes
+
+
+def test_packet_oracle_transposes_back():
+    data = random_stripes(field_of_order(256), 3, 8 * 5 * 2 + 8 * 3 + 5, seed=1)
+    symbols = to_symbols(data, 5)
+    assert not np.array_equal(symbols, data)
+    assert np.array_equal(symbols[:, -5:], data[:, -5:])  # the last w % 8 stripes are symbols
+    assert np.array_equal(from_symbols(symbols, 5), data)
 
 
 def test_apply_rows_bulk_gf256_rejects_wide_symbols():
@@ -280,12 +310,15 @@ def test_apply_rows_bulk_skip_and_dense_identical():
     assert np.array_equal(fast, slow)
 
 
-def test_encode_stripes_matches_encode_message():
+def test_encode_stripes_matches_encode_message(monkeypatch):
+    monkeypatch.setattr(analysis, "PACKET", 2)
     for q in (11, 256):
         code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
-        data = random_stripes(code.params.field, code.params.B, 6, seed=9)
+        data = random_stripes(code.params.field, code.params.B, 37, seed=9)
         out = encode_stripes(code, data)
-        for s in range(6):
+        if q == 256:  # two blocks, a partial one of 2-stripe packets and 5 symbols
+            data, out = to_symbols(data, 2), to_symbols(out, 2)
+        for s in range(37):
             m = [int(data[t][s]) for t in range(code.params.B)]
             assert [int(out[r][s]) for r in range(out.shape[0])] == code.encode_message(m)
 
@@ -303,6 +336,19 @@ def test_apply_rows_bulk_large_prime_modulus():
     for s in range(5):
         col = [int(data[t][s]) for t in range(4)]
         assert [int(out[r][s]) for r in range(3)] == mat.mul_vector(col)
+
+
+@pytest.mark.parametrize("q", [257, 46337, 46349], ids=["f257", "largest-int32", "smallest-int64"])
+def test_apply_rows_bulk_prime_accumulators_do_not_overflow(q):
+    # every term at its largest, (q-1)^2, on rows long enough to need reducing
+    field = field_of_order(q)
+    assert analysis._prime_dtype(q) == (np.int64 if q == 46349 else np.int32)
+    cols = 300
+    mat = Matrix(field, [[q - 1] * cols, [1] * cols, [q - 1, 0] * (cols // 2)])
+    data = np.full((cols, 3), q - 1, dtype=np.int64)
+    out = apply_rows_bulk(field, mat, data)
+    for s in range(3):
+        assert [int(x) for x in out[:, s]] == mat.mul_vector([q - 1] * cols)
 
 
 def test_random_stripes_deterministic_and_in_range():

@@ -257,6 +257,31 @@ def test_decode_rejects_bad_node_ids(tmp_path, capsys, nodes, message):
     assert f"bad node list '{nodes}'" in err and message in err
 
 
+def _as_v1(desc: dict) -> dict:
+    """The descriptor as format v1 wrote it: v2 without the layout."""
+    return {**{k: v for k, v in desc.items() if k != "layout"}, "format": "pmcode-descriptor-v1"}
+
+
+def test_v1_prime_descriptor_still_encodes_repairs_and_decodes(tmp_path):
+    out = gen_dir(tmp_path, "g", "--n", 8, "--k", 4, "--d", 6, "--q", 257)
+    path = out / "descriptor.json"
+    desc = json.loads(path.read_text())
+    assert desc["format"] == "pmcode-descriptor-v2" and desc["layout"] == {"kind": "u32be"}
+    path.write_bytes(cli.descriptor_bytes(_as_v1(desc)))
+    payload = random.Random(3).randbytes(3001)
+    data, shards = tmp_path / "data.bin", tmp_path / "shards"
+    data.write_bytes(payload)
+    assert run("encode", "--descriptor", path, "--data", data, "--out-dir", shards) == 0
+    original = (shards / shard_name(7)).read_bytes()
+    (shards / shard_name(7)).unlink()
+    assert run("repair", "--descriptor", path, "--shard-dir", shards, "--failed", 7) == 0
+    assert (shards / shard_name(7)).read_bytes() == original
+    recovered = tmp_path / "out.bin"
+    assert run("decode", "--descriptor", path, "--shard-dir", shards,
+               "--nodes", "4,5,6,7", "--out", recovered) == 0
+    assert recovered.read_bytes() == payload
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -264,8 +289,12 @@ def test_decode_rejects_bad_node_ids(tmp_path, capsys, nodes, message):
         (lambda d: {**d, "field": {"kind": "binary8"}}, "needs an integer 'poly'"),
         (lambda d: [d], "must be a JSON object, not list"),
         (lambda d: {**d, "n": "8"}, "'n' must be a JSON int"),
+        (lambda d: {**d, "layout": {"kind": "packets", "packet_bytes": 8192}}, "descriptor layout"),
+        (lambda d: {k: v for k, v in d.items() if k != "layout"}, "descriptor layout None"),
+        (lambda d: _as_v1(d), "pmcode-descriptor-v1 GF(2^8) shards use the byte layout"),
     ],
-    ids=["missing-seed", "field-without-poly", "top-level-list", "n-as-string"],
+    ids=["missing-seed", "field-without-poly", "top-level-list", "n-as-string",
+         "other-packet-size", "v2-without-layout", "v1-gf256"],
 )
 def test_malformed_descriptor_is_a_cli_error(tmp_path, capsys, mutate, message):
     out = gen_dir(tmp_path, "g", "--n", 8, "--k", 4, "--d", 6, "--gf256")
@@ -407,6 +436,26 @@ def test_forged_payload_length_is_rejected(tmp_path, capsys, forge):
                "--failed", 7, "--out", tmp_path / "rebuilt.shard") == 2
     err = capsys.readouterr().err
     assert shard_name(0) in err and "payload length" in err
+
+
+@pytest.mark.parametrize("field_args", [("--gf256",), ("--q", 257)], ids=["gf256", "f257"])
+@pytest.mark.parametrize("nodes", ["0,1,2,3", "4,5,6,7"], ids=["systematic", "parity"])
+def test_short_payload_length_fails_the_padding_check(tmp_path, capsys, field_args, nodes):
+    # 5000 -> 4996 keeps the stripe count, so only the decoded padding shows it
+    payload = bytes(random.Random(2).randrange(256) for _ in range(5000))
+    assert any(payload[4996:])
+    desc_path, shards = _cycle(tmp_path, ("--n", 8, "--k", 4, "--d", 6, *field_args), payload)
+    for i in range(8):
+        path = shards / shard_name(i)
+        raw = bytearray(path.read_bytes())
+        magic, digest, node, stripes, plen = SHARD_HEADER.unpack_from(raw)
+        SHARD_HEADER.pack_into(raw, 0, magic, digest, node, stripes, 4996)
+        path.write_bytes(raw)
+    out = tmp_path / "out.bin"
+    assert run("decode", "--descriptor", desc_path, "--shard-dir", shards,
+               "--nodes", nodes, "--out", out) == 2
+    assert "decoded padding past payload length 4996 is not zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,22 @@ from pmcode.construct import build_sparse_systematic
 from pmcode.core import LinearCode
 from pmcode.field import field_of_order
 
-CHUNK = 4  # stripes per chunk in the edge tests
+from packet_oracle import to_symbols
+
+CHUNK = 16  # stripes per chunk in the edge tests: one GF(2^8) block
+PACKET = CHUNK // 8
 HEADER = struct.Struct(">8s32sIQQ")
+
+
+@pytest.fixture(autouse=True)
+def small_packets(monkeypatch):
+    """GF(2^8) blocks of CHUNK stripes, so that small objects cross block edges."""
+    monkeypatch.setattr(analysis, "PACKET", PACKET)
+
+
+def symbols(field, rows):
+    """Stripes as symbols: the virtual symbols of GF(2^8) packets, prime symbols as they are."""
+    return to_symbols(rows, PACKET) if field.kind == "binary8" else rows
 
 
 def run(*argv) -> int:
@@ -30,7 +44,7 @@ def run(*argv) -> int:
 
 def set_chunk(monkeypatch, field, rows_in, rows_out, stripes=CHUNK):
     """Patch the kernel budget so a chunk of rows_in + rows_out rows holds ``stripes`` stripes."""
-    itemsize = 1 if field.kind == "binary8" else 8
+    itemsize = {256: 1, 257: 4}[field.order]  # uint8 packets, int32 prime accumulators
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", itemsize * (rows_in + rows_out) * stripes)
     assert chunk_stripes(field, rows_in, rows_out) == stripes
 
@@ -45,10 +59,16 @@ def shard_rows(path, field, alpha):
 def test_chunk_stripes_fits_the_budget(monkeypatch):
     gf, fp = field_of_order(256), field_of_order(257)
     budget = analysis._CHUNK_BYTES
-    assert chunk_stripes(gf, 36, 78) == budget // 114
-    assert chunk_stripes(fp, 30, 60) == budget // 720
+    assert chunk_stripes(gf, 36, 78) == budget // (114 * CHUNK) * CHUNK  # whole blocks
+    assert chunk_stripes(fp, 30, 60) == budget // 360  # int32 accumulators
+    assert chunk_stripes(field_of_order(46337), 30, 60) == budget // 360  # the largest int32 prime
+    assert chunk_stripes(field_of_order(46349), 30, 60) == budget // 720  # and the next, int64
+    monkeypatch.setattr(analysis, "PACKET", 4096)
+    assert chunk_stripes(gf, 36, 78) == 32768  # one block at the real packet size
+    assert chunk_stripes(gf, 4, 4) == 16 * 32768
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", 10)
     assert chunk_stripes(fp, 30, 60) == 1  # never zero
+    assert chunk_stripes(gf, 36, 78) == 32768  # never less than one block
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +77,23 @@ def test_chunk_stripes_fits_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("q", [256, 257])
 def test_bulk_methods_match_per_stripe_paths(q):
+    # 45 stripes: over GF(2^8) two blocks, then 8 stripes of 1-byte packets and 5 symbols
     code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
     p = code.params
-    data = random_stripes(p.field, p.B, 9, seed=q)
+    data = random_stripes(p.field, p.B, 45, seed=q)
     stored = encode_stripes(code, data)
-    columns = [[int(x) for x in data[:, s]] for s in range(9)]
+    columns = [[int(x) for x in col] for col in symbols(p.field, data).T]
+    stored_symbols = symbols(p.field, stored)
     for s, m in enumerate(columns):
-        assert [int(x) for x in stored[:, s]] == code.encode_message(m)
+        assert [int(x) for x in stored_symbols[:, s]] == code.encode_message(m)
 
-    def node_rows(i):
-        return stored[i * p.alpha : (i + 1) * p.alpha]
+    def node_rows(i, rows=stored):
+        return rows[i * p.alpha : (i + 1) * p.alpha]
 
     failed, helpers = 6, [0, 2, 3, 4, 5, 7]
     rebuilt = code.repair_bulk(failed, helpers, np.vstack([node_rows(h) for h in helpers]))
     assert np.array_equal(rebuilt, node_rows(failed))
+    rebuilt = symbols(p.field, rebuilt)
     for s, m in enumerate(columns):
         bundle = code.run_repair(code.stored_rows(m), failed, helpers)
         assert list(bundle.rebuilt) == [int(x) for x in rebuilt[:, s]]
@@ -79,7 +102,7 @@ def test_bulk_methods_match_per_stripe_paths(q):
     message = code.decode_bulk(ids, np.vstack([node_rows(i) for i in ids]))
     assert np.array_equal(message, data)
     for s, m in enumerate(columns):
-        rows = [[int(x) for x in node_rows(i)[:, s]] for i in ids]
+        rows = [[int(x) for x in node_rows(i, stored_symbols)[:, s]] for i in ids]
         assert code.decode(ids, rows) == m
 
 
@@ -146,10 +169,43 @@ def test_chunk_edges_match_whole_array_oracle(tmp_path, monkeypatch, q):
         assert run("decode", "--descriptor", desc, "--shard-dir", shards,
                    "--nodes", ",".join(map(str, ids)), "--out", out) == 0
         assert out.read_bytes() == payload
-        rows = {i: shard_rows(shards / shard_name(i), p.field, p.alpha)[3] for i in ids}
+        rows = {i: symbols(p.field, shard_rows(shards / shard_name(i), p.field, p.alpha)[3]) for i in ids}
+        message = symbols(p.field, message)
         for s in range(stripes):
             column = code.decode(ids, [[int(x) for x in rows[i][:, s]] for i in ids])
-            assert bytes(column)[: max(0, size - s * p.B)] == payload[s * p.B : (s + 1) * p.B]
+            assert column == [int(x) for x in message[:, s]]  # the padding decodes to zeros
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_chunk_budget_does_not_change_the_outputs(tmp_path, monkeypatch, q):
+    gen = tmp_path / "code"
+    field_args = ["--gf256"] if q == 256 else ["--q", "257"]
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, *field_args, "--out-dir", gen) == 0
+    desc = gen / "descriptor.json"
+    p = cli.code_from_descriptor(cli.load_descriptor(desc)[0]).params
+    payload = random.Random(q).randbytes((5 * CHUNK + 13) * p.B - 7)
+    data = tmp_path / "data.bin"
+    data.write_bytes(payload)
+    reference = None
+    for blocks in (1, 2, 3, 64):  # 64 blocks: the whole object in one chunk
+        set_chunk(monkeypatch, p.field, p.B, p.n * p.alpha, blocks * CHUNK)
+        shards = tmp_path / f"shards{blocks}"
+        assert run("encode", "--descriptor", desc, "--data", data, "--out-dir", shards) == 0
+        written = [(shards / shard_name(i)).read_bytes() for i in range(p.n)]
+        reference = reference or (shards, written)
+        assert written == reference[1]
+
+        set_chunk(monkeypatch, p.field, p.d * p.alpha, p.d + p.alpha, blocks * CHUNK)
+        rebuilt = tmp_path / f"rebuilt{blocks}.shard"
+        assert run("repair", "--descriptor", desc, "--shard-dir", reference[0],
+                   "--failed", 5, "--out", rebuilt) == 0
+        assert rebuilt.read_bytes() == reference[1][5]
+
+        set_chunk(monkeypatch, p.field, p.k * p.alpha, p.B, blocks * CHUNK)
+        decoded = tmp_path / f"decoded{blocks}.bin"
+        assert run("decode", "--descriptor", desc, "--shard-dir", reference[0],
+                   "--nodes", "3,5,6,7", "--out", decoded) == 0
+        assert decoded.read_bytes() == payload
 
 
 # ---------------------------------------------------------------------------
