@@ -89,8 +89,10 @@ _ANALYSIS_NAMES = frozenset({
     "benchmark_encode",
     "benchmark_pair",
     "certify",
+    "decode_stripes",
     "encode_stripes",
     "predicted_speedup",
+    "repair_stripes",
     "sparsity_report",
     "underlying_encoding",
 })
@@ -147,6 +149,7 @@ __all__ = [
     "choose_prime_encoding",
     "conjugate_message",
     "decode_identity_block",
+    "decode_stripes",
     "encode",
     "encode_stripes",
     "encoding_from_phi_lambda",
@@ -162,6 +165,7 @@ __all__ = [
     "random_message",
     "remap_generic",
     "remap_via_inclusion",
+    "repair_stripes",
     "shorten",
     "sparsify_encoding",
     "sparsity_report",

@@ -8,10 +8,11 @@ TR-95-048; Plank & Xu, IEEE NCA 2006): a block of 8 * ``PACKET`` stripes
 holds bit b of its virtual symbols in packet b, a coefficient is its 8x8
 bitmatrix over GF(2), and each 1 in it is one XOR of a ``PACKET``-byte
 packet.  Over prime fields a term is an int32 (int64 for large moduli)
-multiply-accumulate.  The same kernels back ``encode_stripes`` and the
-``LinearCode`` bulk repair and decode methods, which the command-line
-encode, repair and decode paths call on one chunk of ``chunk_stripes``
-stripes at a time.
+multiply-accumulate.  The same kernel backs ``encode_stripes``,
+``repair_stripes`` and ``decode_stripes``, which apply a code's generator,
+``repair_matrices`` and ``decode_matrix``; the command-line encode, repair
+and decode paths call them on one chunk of ``chunk_stripes`` stripes at a
+time, and ``SHARD_DTYPE`` gives the symbol type those chunks have on disk.
 """
 
 from __future__ import annotations
@@ -277,6 +278,10 @@ def shard_layout(field) -> dict:
     return {"kind": "u32be"}
 
 
+# the numpy dtype of one stored symbol, by ``shard_layout`` kind
+SHARD_DTYPE = {"packets": np.dtype(np.uint8), "u32be": np.dtype(">u4")}
+
+
 def _prime_dtype(q: int):
     """The kernel's accumulator: int32 while (q-1)^2 + q fits, else int64."""
     return np.dtype(np.int32 if (q - 1) ** 2 + q < 1 << 31 else np.int64)
@@ -389,6 +394,24 @@ def encode_stripes(code: LinearCode, data: np.ndarray, skip_zeros: bool = True) 
     return apply_rows_bulk(code.params.field, code.generator, data, skip_zeros)
 
 
+def repair_stripes(code: LinearCode, failed: int, helpers, rows: np.ndarray) -> np.ndarray:
+    """The failed node's (alpha x S) rows from the helpers' rows, stacked in
+    helper order as a (d*alpha x S) array.
+
+    The transfer matrix takes each stripe to the d symbols the helpers send,
+    one each, and the rebuild matrix takes those to the failed node's alpha.
+    """
+    transfer, rebuild = code.repair_matrices(failed, helpers)
+    field = code.params.field
+    return apply_rows_bulk(field, rebuild, apply_rows_bulk(field, transfer, rows))
+
+
+def decode_stripes(code: LinearCode, ids, rows: np.ndarray) -> np.ndarray:
+    """The (B x S) message stripes from the rows of nodes ``ids``, stacked in
+    that order as a (k*alpha x S) array."""
+    return apply_rows_bulk(code.params.field, code.decode_matrix(ids), rows)
+
+
 def random_stripes(field, rows: int, stripes: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if field.kind == "binary8":
@@ -444,10 +467,6 @@ class BenchResult:
         )
 
 
-def _symbol_bytes(field) -> int:
-    return 1 if field.kind == "binary8" else 4
-
-
 def parity_nonzeros(code: LinearCode) -> int:
     p = code.params
     return sum(
@@ -473,8 +492,7 @@ def benchmark_encode(
     whole stripes.  One warmup pass runs untimed.
     """
     p = code.params
-    sym = _symbol_bytes(p.field)
-    stripe_bytes = p.B * sym
+    stripe_bytes = p.B * SHARD_DTYPE[shard_layout(p.field)["kind"]].itemsize
     stripes = max(1, math.ceil(workload_mib * (1 << 20) / stripe_bytes))
     data = random_stripes(p.field, p.B, stripes, seed)
     encode_stripes(code, data, skip_zeros)  # warmup

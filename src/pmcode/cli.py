@@ -13,12 +13,13 @@ Subcommands:
 
 The descriptor (``descriptor.json``, format ``pmcode-descriptor-v2``) pins
 everything needed to rebuild the code deterministically: parameters, field,
-construction route, seed, the evaluation points actually chosen, sha256
-hashes of the generated matrix files, and the shard ``layout``
-(``analysis.shard_layout``).  A v1 descriptor has no layout; its prime-field
-shards are read as they are, and a v1 GF(2^8) descriptor is refused, since
-its shards hold bytes rather than packets.  Shard files carry a fixed
-60-byte header::
+construction route, the evaluation points actually chosen, sha256 hashes
+of the generated matrix files, and the shard ``layout``
+(``analysis.shard_layout``; ``analysis.SHARD_DTYPE`` gives its symbol
+type).  Older descriptors also carry a ``seed``, which is ignored.  A v1
+descriptor has no layout; its prime-field shards are read as they are, and
+a v1 GF(2^8) descriptor is refused, since its shards hold bytes rather than
+packets.  Shard files carry a fixed 60-byte header::
 
     magic "PMSHARD1" | sha256(descriptor file) | node id u32 BE
     | stripe count u64 BE | payload byte length u64 BE
@@ -38,8 +39,8 @@ output goes to a temporary file beside it, which replaces the destination
 only after the last chunk and is removed on any error, so a failed command
 leaves no partial output.  ``decode`` also checks that the last stripe's
 bytes past the payload length decode to zero.  The field arithmetic is in
-``analysis.encode_stripes`` and the ``LinearCode`` bulk methods; this module
-does file I/O and argument handling.
+``analysis.encode_stripes``, ``repair_stripes`` and ``decode_stripes``; this
+module does file I/O and argument handling.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .analysis import (
+    SHARD_DTYPE,
     benchmark_pair,
     certify,
     chunk_stripes,
+    decode_stripes,
     encode_stripes,
+    repair_stripes,
     shard_layout,
     sparsity_report,
     underlying_encoding,
@@ -85,7 +89,7 @@ _HEADER = struct.Struct(">8s32sIQQ")
 
 # top-level keys code_from_descriptor reads, with their JSON types
 _DESCRIPTOR_KEYS = {
-    "n": int, "k": int, "d": int, "seed": int,
+    "n": int, "k": int, "d": int,
     "construction": str, "field": dict, "xs": list, "hashes": dict,
 }
 # the number that pins each field kind
@@ -143,7 +147,7 @@ def generation_artifacts(code) -> dict[str, str]:
     }
 
 
-def descriptor_for(code, construction: str, seed: int) -> dict:
+def descriptor_for(code, construction: str) -> dict:
     p = code.params
     enc = underlying_encoding(code)
     desc = {
@@ -152,7 +156,6 @@ def descriptor_for(code, construction: str, seed: int) -> dict:
         "k": p.k,
         "d": p.d,
         "construction": construction,
-        "seed": seed,
         "field": _field_to_json(p.field),
         "layout": shard_layout(p.field),
         "xs": list(enc.xs),
@@ -256,10 +259,6 @@ def shard_name(node: int) -> str:
     return f"node_{node:03d}.shard"
 
 
-def _symbol_dtype(field):
-    return np.dtype(np.uint8) if field.kind == "binary8" else np.dtype(">u4")
-
-
 def _stripe_count(payload_len: int, B: int) -> int:
     """Stripes of B symbols that carry payload_len bytes; an empty payload takes one."""
     return max(1, -(-payload_len // B))
@@ -290,7 +289,7 @@ def _read_header(fd: int, path, digest: bytes, field, alpha: int) -> tuple[int, 
     if got_digest != digest:
         raise CliError(f"{path}: shard belongs to a different descriptor")
     body = os.fstat(fd).st_size - _HEADER.size
-    expected = alpha * stripes * _symbol_dtype(field).itemsize
+    expected = alpha * stripes * SHARD_DTYPE[shard_layout(field)["kind"]].itemsize
     if body != expected:
         raise CliError(f"{path}: shard body is {body} bytes, expected {expected}")
     return node, stripes, payload_len
@@ -311,7 +310,7 @@ def _write_header(fd: int, digest: bytes, node: int, stripes: int, payload_len: 
 
 def _write_rows(fd: int, rows: np.ndarray, stripes: int, s0: int, field) -> None:
     """Store ``rows`` (alpha x w) as stripes s0..s0+w of each stored row."""
-    body = np.ascontiguousarray(rows, dtype=_symbol_dtype(field))  # copies only to convert
+    body = np.ascontiguousarray(rows, dtype=SHARD_DTYPE[shard_layout(field)["kind"]])  # copies only to convert
     for r in range(body.shape[0]):
         _pwrite_all(fd, memoryview(body[r].view(np.uint8)), _HEADER.size + (r * stripes + s0) * body.itemsize)
 
@@ -384,8 +383,9 @@ def _stream_rows(sources, params, stripes: int, rows_out: int):
     """
     alpha = params.alpha
     width = chunk_stripes(params.field, len(sources) * alpha, rows_out)
+    dtype = SHARD_DTYPE[shard_layout(params.field)["kind"]]
     for s0 in range(0, stripes, width):
-        rows = np.empty((len(sources) * alpha, min(width, stripes - s0)), dtype=_symbol_dtype(params.field))
+        rows = np.empty((len(sources) * alpha, min(width, stripes - s0)), dtype=dtype)
         for i, (path, fd) in enumerate(sources):
             _read_rows(fd, path, rows[i * alpha : (i + 1) * alpha], stripes, s0, params.field)
         yield s0, rows
@@ -415,7 +415,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = generation_artifacts(code)
-    desc = descriptor_for(code, args.construction, args.seed)
+    desc = descriptor_for(code, args.construction)
     files = {name: text.encode() for name, text in artifacts.items()}
     files["descriptor.json"] = descriptor_bytes(desc)
     for name, raw in files.items():
@@ -478,7 +478,7 @@ def cmd_repair(args) -> int:
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
         for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.d + p.alpha):
-            _write_rows(fd, code.repair_bulk(failed, helpers, rows), stripes, s0, p.field)
+            _write_rows(fd, repair_stripes(code, failed, helpers, rows), stripes, s0, p.field)
     print(f"rebuilt node {failed} from helpers {','.join(str(h) for h in helpers)} -> {out}")
     return 0
 
@@ -499,7 +499,7 @@ def cmd_decode(args) -> int:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
         fd = stack.enter_context(_atomic_output(args.out))
         for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.B):
-            message = code.decode_bulk(ids, rows)
+            message = decode_stripes(code, ids, rows)
             if message.max(initial=0) > 255:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")
             data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)
@@ -584,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(sub, required=True)
     _add_field_args(sub)
     sub.add_argument("--construction", choices=sorted(_BUILDERS), default="sparse")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_gen)
 

@@ -10,6 +10,12 @@ matrices S_a, S_b and node i stores
 with psi_i = (phi_i, lambda_i * phi_i) a row of the n x d encoding matrix
 Psi = [Phi  Lambda*Phi].  Codes with d > 2k-2 are obtained by shortening a
 base-regime parent (see :mod:`pmcode.construct`).
+
+Everything here is exact pure-Python arithmetic, and a code encodes,
+decodes and repairs one stripe at a time.  The matrices it applies (its
+generator, ``LinearCode.decode_matrix`` and ``LinearCode.repair_matrices``,
+built once per node set) are what the numpy bulk path in
+:mod:`pmcode.analysis` applies to many stripes at once.
 """
 
 from __future__ import annotations
@@ -448,7 +454,7 @@ class LinearCode:
         self.params = params
         self.generator = generator
         self.label = label or f"code {params}"
-        self._bulk_matrices: dict = {}  # node set -> the matrices the bulk methods apply
+        self._matrices: dict = {}  # node set -> its decode_matrix or repair_matrices
 
     # -- encoding ----------------------------------------------------------
 
@@ -548,60 +554,36 @@ class LinearCode:
             if len(r) != alpha:
                 raise LengthMismatch(f"stored row has {len(r)} symbols, expected {alpha}")
         flat = [x for r in rows for x in r]
-        return self._decode_matrix(ids).mul_vector(flat)
+        return self.decode_matrix(ids).mul_vector(flat)
 
-    def _decode_matrix(self, ids: Sequence[int]) -> Matrix:
+    def decode_matrix(self, ids: Sequence[int]) -> Matrix:
         """B x k*alpha inverse of the stacked node blocks of ``ids``, computed once per node list."""
         key = ("decode", tuple(ids))
-        if key not in self._bulk_matrices:
+        if key not in self._matrices:
+            self.check_decode_args(ids)
             block = Matrix.vstack([self.node_block(i) for i in ids])
             try:
-                self._bulk_matrices[key] = block.inverse()
+                self._matrices[key] = block.inverse()
             except Singular as exc:
                 raise Singular(f"nodes {list(ids)} do not determine the message") from exc
-        return self._bulk_matrices[key]
+        return self._matrices[key]
 
-    def _repair_matrices(self, failed: int, helpers: Sequence[int]) -> tuple[Matrix, Matrix]:
+    def repair_matrices(self, failed: int, helpers: Sequence[int]) -> tuple[Matrix, Matrix]:
         """(d x d*alpha transfer, alpha x d rebuild) matrices, computed once per helper list.
 
         Row h of the transfer matrix dots helper h's alpha stored rows with
         the repair vector: the one symbol per stripe that helper sends.
         """
         key = ("repair", failed, tuple(helpers))
-        if key not in self._bulk_matrices:
+        if key not in self._matrices:
             self.check_repair_args(failed, helpers)
             p = self.params
             vec = self.repair_vector(failed)
             transfer = Matrix.zeros(p.field, p.d, p.d * p.alpha)
             for h in range(p.d):
                 transfer.data[h][h * p.alpha : (h + 1) * p.alpha] = vec
-            self._bulk_matrices[key] = (transfer, self.repair_matrix(failed, helpers))
-        return self._bulk_matrices[key]
-
-    # -- bulk paths ----------------------------------------------------------
-    #
-    # One stripe per column: these apply the repair and decode matrices to a
-    # chunk of stripes through the kernel in pmcode.analysis (imported on
-    # call, since analysis imports this module); bulk encoding is
-    # ``analysis.encode_stripes``.  The per-stripe methods above are the
-    # exact reference the bulk paths are tested against.
-
-    def repair_bulk(self, failed: int, helpers: Sequence[int], rows):
-        """The failed node's (alpha x S) rows from the helpers' rows, stacked
-        in helper order as a (d*alpha x S) array."""
-        from .analysis import apply_rows_bulk
-
-        transfer, rebuild = self._repair_matrices(failed, helpers)
-        field = self.params.field
-        return apply_rows_bulk(field, rebuild, apply_rows_bulk(field, transfer, rows))
-
-    def decode_bulk(self, ids: Sequence[int], rows):
-        """The (B x S) message stripes from the rows of nodes ``ids``, stacked
-        in that order as a (k*alpha x S) array."""
-        from .analysis import apply_rows_bulk
-
-        self.check_decode_args(ids)
-        return apply_rows_bulk(self.params.field, self._decode_matrix(ids), rows)
+            self._matrices[key] = (transfer, self.repair_matrix(failed, helpers))
+        return self._matrices[key]
 
 
 class PmVandermondeCode(LinearCode):

@@ -111,19 +111,13 @@ class RemappedCode(LinearCode):
 def remap_generic(base: LinearCode) -> RemappedCode:
     """Right-multiply the generator by the inverse of its top B x B block.
 
-    The result stores the packed message verbatim on the first k nodes.  An
-    already-systematic generator gets the identity remap.
+    The result stores the packed message verbatim on the first k nodes.
     """
     B = base.params.B
-    g_k = base.generator.take_rows(range(B))
-    eye = Matrix.identity(base.params.field, B)
-    if g_k == eye:
-        remap = eye
-    else:
-        try:
-            remap = g_k.inverse()
-        except Singular as exc:
-            raise Singular("top k-node block is singular; code cannot be systematic on nodes 0..k-1") from exc
+    try:
+        remap = base.generator.take_rows(range(B)).inverse()
+    except Singular as exc:
+        raise Singular("top k-node block is singular; code cannot be systematic on nodes 0..k-1") from exc
     code = RemappedCode(base, remap, "generic")
     if code.column_permutation != list(range(B)):
         raise DesignMismatch("generic remap must reproduce the message in packed order")

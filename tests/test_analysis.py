@@ -13,10 +13,12 @@ from pmcode.analysis import (
     benchmark_encode,
     benchmark_pair,
     certify,
+    decode_stripes,
     encode_stripes,
     parity_nonzeros,
     predicted_speedup,
     random_stripes,
+    repair_stripes,
     sparsity_report,
     underlying_encoding,
 )
@@ -259,6 +261,28 @@ def test_apply_rows_bulk_packet_layout_every_coefficient(blocks, extra):
     out = apply_rows_bulk(field, mat, data)
     assert np.array_equal(out, packet_oracle(field, mat, data, packet))
     assert np.array_equal(out[0], data[0])  # a unit coefficient copies: systematic rows stay bytes
+
+
+@pytest.mark.parametrize("build", [build_sparse_systematic, build_vanilla_systematic], ids=["sparse", "vanilla"])
+def test_17_8_15_gf256_stripes_match_the_packet_oracle(monkeypatch, build):
+    # criterion 10's codes against a reference apart from the kernel.  With
+    # 2-byte packets (blocks of 16 stripes), 45 stripes are two whole blocks,
+    # a partial block of 1-byte packets and a w mod 8 tail of 5 symbols.
+    monkeypatch.setattr(analysis, "PACKET", 2)
+    code = build(17, 8, 15, field=field_of_order(256))
+    p = code.params
+    data = random_stripes(p.field, p.B, 45, seed=1715)
+    stored = encode_stripes(code, data)
+    assert np.array_equal(stored, packet_oracle(p.field, code.generator, data, 2))
+
+    def node_rows(ids):
+        return np.vstack([stored[i * p.alpha : (i + 1) * p.alpha] for i in ids])
+
+    failed = 12  # a parity node
+    helpers = [i for i in range(p.n) if i not in (failed, 3)]
+    assert np.array_equal(repair_stripes(code, failed, helpers, node_rows(helpers)), node_rows([failed]))
+    ids = [1, 3, 5, 9, 11, 13, 15, 16]  # a degraded decode: four parity nodes
+    assert np.array_equal(decode_stripes(code, ids, node_rows(ids)), data)
 
 
 def test_packet_oracle_transposes_back():

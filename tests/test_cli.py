@@ -74,17 +74,38 @@ def test_descriptor_rebuild_round_trip(tmp_path):
     [("--n", 13, "--k", 6, "--d", 11, "--gf256"), ("--n", 12, "--k", 6, "--d", 10, "--q", 257)],
     ids=["13-6-11-gf256", "12-6-10-f257"],
 )
-def test_gen_seed_is_recorded_but_does_not_change_the_code(tmp_path, params):
-    a = gen_dir(tmp_path, "seed0", *params, "--seed", 0)
-    b = gen_dir(tmp_path, "seed7", *params, "--seed", 7)
-    for name in ("psi.txt", "g.txt", "g_sys.txt"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-    desc_a, _ = load_descriptor(a / "descriptor.json")
-    desc_b, _ = load_descriptor(b / "descriptor.json")
-    assert (desc_a["seed"], desc_b["seed"]) == (0, 7)
-    assert {**desc_a, "seed": 7} == desc_b
-    # rebuilding checks the hashes of all three matrix files
-    assert code_from_descriptor(desc_b).generator == code_from_descriptor(desc_a).generator
+def test_descriptor_with_a_seed_still_works_and_gen_takes_no_seed(tmp_path, capsys, params):
+    # descriptors written while gen took --seed carry a "seed" key the code never used
+    out = gen_dir(tmp_path, "g", *params)
+    plain = out / "descriptor.json"
+    desc = json.loads(plain.read_text())
+    assert "seed" not in desc
+    seeded = out / "seeded.json"
+    seeded.write_bytes(cli.descriptor_bytes({**desc, "seed": 7}))
+    data = tmp_path / "data.bin"
+    payload = random.Random(7).randbytes(3001)
+    data.write_bytes(payload)
+    n, k = desc["n"], desc["k"]
+    plain_shards, shards = tmp_path / "plain", tmp_path / "seeded"
+    for path, shard_dir in ((plain, plain_shards), (seeded, shards)):
+        assert run("encode", "--descriptor", path, "--data", data, "--out-dir", shard_dir) == 0
+    for i in range(n):  # the same bodies; the headers hold the descriptor's digest
+        a, b = ((shard_dir / shard_name(i)).read_bytes() for shard_dir in (plain_shards, shards))
+        assert a[cli._HEADER.size :] == b[cli._HEADER.size :]
+
+    original = (shards / shard_name(n - 1)).read_bytes()
+    (shards / shard_name(n - 1)).unlink()
+    assert run("repair", "--descriptor", seeded, "--shard-dir", shards, "--failed", n - 1) == 0
+    assert (shards / shard_name(n - 1)).read_bytes() == original
+    recovered = tmp_path / "out.bin"
+    assert run("decode", "--descriptor", seeded, "--shard-dir", shards,
+               "--nodes", ",".join(str(i) for i in range(n - k, n)), "--out", recovered) == 0
+    assert recovered.read_bytes() == payload
+
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--out-dir", tmp_path / "g0", *params, "--seed", 0)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_gen_rejects_invalid_regime(tmp_path, capsys):
@@ -285,7 +306,6 @@ def test_v1_prime_descriptor_still_encodes_repairs_and_decodes(tmp_path):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: {k: v for k, v in d.items() if k != "seed"}, "missing 'seed'"),
         (lambda d: {**d, "field": {"kind": "binary8"}}, "needs an integer 'poly'"),
         (lambda d: [d], "must be a JSON object, not list"),
         (lambda d: {**d, "n": "8"}, "'n' must be a JSON int"),
@@ -293,7 +313,7 @@ def test_v1_prime_descriptor_still_encodes_repairs_and_decodes(tmp_path):
         (lambda d: {k: v for k, v in d.items() if k != "layout"}, "descriptor layout None"),
         (lambda d: _as_v1(d), "pmcode-descriptor-v1 GF(2^8) shards use the byte layout"),
     ],
-    ids=["missing-seed", "field-without-poly", "top-level-list", "n-as-string",
+    ids=["field-without-poly", "top-level-list", "n-as-string",
          "other-packet-size", "v2-without-layout", "v1-gf256"],
 )
 def test_malformed_descriptor_is_a_cli_error(tmp_path, capsys, mutate, message):

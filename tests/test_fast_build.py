@@ -154,7 +154,7 @@ def test_sparsify_checks_nothing(rank_calls):
 
 def test_paper_code_rebuilds_without_rank_calls(rank_calls):
     code = build_sparse_systematic(17, 8, 15, field=GF256)
-    desc = descriptor_for(code, "sparse", 0)
+    desc = descriptor_for(code, "sparse")
     rank_calls.clear()
     rebuilt = code_from_descriptor(desc)
     assert rank_calls == []

@@ -1,0 +1,53 @@
+"""The package's layers, read from its source: who imports numpy and ``pmcode.analysis``.
+
+The exact-math modules (``core`` and the rest) stay pure Python; the numpy
+bulk path is ``analysis``, which only the command line and the lazy-name
+hook (``__getattr__``) of ``__init__`` load.  Imports inside functions count.
+"""
+
+import ast
+from pathlib import Path
+
+import pmcode
+
+PACKAGE = Path(pmcode.__file__).resolve().parent
+
+
+def imports(tree) -> list[tuple[str, str]]:
+    """(absolute module name, enclosing function or "") of every import in ``tree``.
+
+    ``from X import y`` yields both X and X.y, so ``from . import analysis``
+    names ``pmcode.analysis``.
+    """
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, func) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                if child.level:
+                    base = "pmcode" + (f".{base}" if base else "")
+                found.append((base, func))
+                found.extend((f"{base}.{alias.name}", func) for alias in child.names)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, "")
+    return found
+
+
+def users_of(module: str) -> set[str]:
+    """The files that import ``module`` or a name in it, as "file" or "file:function"."""
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, func in imports(ast.parse(path.read_text())):
+            if name == module or name.startswith(module + "."):
+                users.add(f"{path.name}:{func}" if func else path.name)
+    return users
+
+
+def test_only_analysis_and_cli_import_numpy_and_only_cli_and_the_hook_import_analysis():
+    assert users_of("numpy") == {"analysis.py", "cli.py"}
+    assert users_of("pmcode.analysis") == {"cli.py", "__init__.py:__getattr__"}

@@ -1,4 +1,4 @@
-"""Chunked encode/repair/decode: bulk methods, chunk edges, atomic outputs, memory."""
+"""Chunked encode/repair/decode: the bulk stripe functions, chunk edges, atomic outputs, memory."""
 
 import builtins
 import io
@@ -14,7 +14,7 @@ import pytest
 
 import pmcode
 from pmcode import analysis, cli
-from pmcode.analysis import chunk_stripes, encode_stripes, random_stripes
+from pmcode.analysis import chunk_stripes, decode_stripes, encode_stripes, random_stripes, repair_stripes
 from pmcode.cli import main, shard_name
 from pmcode.construct import build_sparse_systematic
 from pmcode.core import LinearCode
@@ -72,7 +72,7 @@ def test_chunk_stripes_fits_the_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# bulk methods against the per-stripe reference
+# bulk stripe functions against the per-stripe reference
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [256, 257])
@@ -91,7 +91,7 @@ def test_bulk_methods_match_per_stripe_paths(q):
         return rows[i * p.alpha : (i + 1) * p.alpha]
 
     failed, helpers = 6, [0, 2, 3, 4, 5, 7]
-    rebuilt = code.repair_bulk(failed, helpers, np.vstack([node_rows(h) for h in helpers]))
+    rebuilt = repair_stripes(code, failed, helpers, np.vstack([node_rows(h) for h in helpers]))
     assert np.array_equal(rebuilt, node_rows(failed))
     rebuilt = symbols(p.field, rebuilt)
     for s, m in enumerate(columns):
@@ -99,7 +99,7 @@ def test_bulk_methods_match_per_stripe_paths(q):
         assert list(bundle.rebuilt) == [int(x) for x in rebuilt[:, s]]
 
     ids = [1, 4, 6, 7]
-    message = code.decode_bulk(ids, np.vstack([node_rows(i) for i in ids]))
+    message = decode_stripes(code, ids, np.vstack([node_rows(i) for i in ids]))
     assert np.array_equal(message, data)
     for s, m in enumerate(columns):
         rows = [[int(x) for x in node_rows(i, stored_symbols)[:, s]] for i in ids]
@@ -114,11 +114,11 @@ def test_bulk_matrices_are_built_once_per_node_set(monkeypatch):
     monkeypatch.setattr(type(code), "repair_matrix", lambda self, f, h: calls.append(f) or real(self, f, h))
     rows = random_stripes(p.field, p.d * p.alpha, 5, seed=1)
     for _ in range(3):
-        code.repair_bulk(0, [1, 2, 3, 4, 5, 6], rows)
+        repair_stripes(code, 0, [1, 2, 3, 4, 5, 6], rows)
     assert calls == [0]
-    code.repair_bulk(0, [1, 2, 3, 4, 5, 7], rows)
+    repair_stripes(code, 0, [1, 2, 3, 4, 5, 7], rows)
     assert calls == [0, 0]
-    inverses = {id(code._decode_matrix([0, 1, 2, 3])) for _ in range(3)}
+    inverses = {id(code.decode_matrix([0, 1, 2, 3])) for _ in range(3)}
     assert len(inverses) == 1
 
 
