@@ -10,9 +10,13 @@ bitmatrix over GF(2), and each 1 in it is one XOR of a ``PACKET``-byte
 packet.  Over prime fields a term is an int32 (int64 for large moduli)
 multiply-accumulate.  The same kernel backs ``encode_stripes``,
 ``repair_stripes`` and ``decode_stripes``, which apply a code's generator,
-``repair_matrices`` and ``decode_matrix``; the command-line encode, repair
-and decode paths call them on one chunk of ``chunk_stripes`` stripes at a
-time, and ``SHARD_DTYPE`` gives the symbol type those chunks have on disk.
+``repair_matrices`` and ``decode_program``.  A decode applies no inverse:
+its program is a sparse elimination of the node rows (Markowitz's
+elimination form of the inverse), whose rows also read earlier rows, so it
+costs the nonzeros of the code's own rows after fill-in rather than those
+of their dense inverse.  The command-line encode, repair and decode paths
+call them on one chunk of ``chunk_stripes`` stripes at a time, and
+``SHARD_DTYPE`` gives the symbol type those chunks have on disk.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import (
     validate_properties,
 )
 from .errors import DimensionMismatch, FieldMismatch, PmCodeError, PropertyViolation
-from .linalg import Matrix
+from .linalg import Matrix, Program
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +294,10 @@ def _prime_dtype(q: int):
 def chunk_stripes(field, rows_in: int, rows_out: int) -> int:
     """Stripes per streamed chunk: ``rows_in`` + ``rows_out`` kernel rows fit ``_CHUNK_BYTES``.
 
-    Kernel rows are uint8 over GF(2^8), where a chunk is a whole number of
-    blocks and at least one, and ``_prime_dtype`` over prime fields.
+    For a ``linalg.Program``, ``rows_out`` is all its rows, the outputs and
+    the rows they read.  Kernel rows are uint8 over GF(2^8), where a chunk
+    is a whole number of blocks and at least one, and ``_prime_dtype`` over
+    prime fields.
     """
     if field.kind == "binary8":
         block = 8 * PACKET
@@ -300,92 +306,155 @@ def chunk_stripes(field, rows_in: int, rows_out: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _xor_schedule(field, coefficients: bytes, cols: int) -> tuple[list, list]:
-    """(copies, schedule) for a matrix given row-major, one byte per entry.
+def _xor_schedule(field, coefficients: bytes, cols: int, inputs: int, outputs: tuple) -> tuple:
+    """(copies, blocks) for a program given row-major, one byte per entry.
 
-    A row whose one nonzero is a 1 copies its input row: ``copies`` lists
-    them as (row r, input row j).  ``schedule`` lists, for every output
-    packet o = 8r+bo of the other rows, the input packets 8j+bi it XORs: the
-    1s of coefficient c's 8x8 bitmatrix, at (bo, bi) when bit bo of c*x^bi
-    is set.  The cache lets every chunk of a command reuse its matrix's.
+    A block's pool holds its input rows' packets, then those of the
+    program's rows that later rows read.  Packet bo of a row XORs the pool
+    packets 8j+bi that the 1s of its coefficients' 8x8 bitmatrices name:
+    coefficient c of column j has a 1 at (bo, bi) when bit bo of c*x^bi is
+    set.  An output whose row's one nonzero is a 1 on an input copies that
+    input row: ``copies`` lists (output k, input row j) for the whole
+    stripes.  ``blocks`` is None when that is all; else it is (pooled
+    packets, output packets, moved outputs, their pool rows).  Pooled
+    packets are (pool packet, its pool packets) for the pooled rows in
+    program order, output packets (packet 8k+bo of output k, its pool
+    packets) for the other rows, and the outputs whose rows are pooled are
+    moved from the pool block by block.  The cache lets every chunk of a
+    command reuse its program's schedule.
     """
     products = np.frombuffer(b"".join(field.product_tables), dtype=np.uint8).reshape(256, 256)
     powers = products[:, 1 << np.arange(8)]  # [c, bi] = c * x^bi
-    bits = (powers[:, None, :] >> np.arange(8)[:, None]) & 1  # [c, bo, bi]
+    bits = ((powers[:, None, :] >> np.arange(8)[:, None]) & 1).astype(bool)  # [c, bo, bi]
     mat = np.frombuffer(coefficients, dtype=np.uint8).reshape(-1, cols)
-    unit = (np.count_nonzero(mat, axis=1) == 1) & (mat.max(axis=1) == 1)
-    copies = [(r, int(np.argmax(mat[r]))) for r in np.flatnonzero(unit)]
-    ones = bits[mat].transpose(0, 2, 1, 3).reshape(-1, cols * 8)  # [8r+bo, 8j+bi]
-    return copies, [(o, np.flatnonzero(row)) for o, row in enumerate(ones) if not unit[o >> 3]]
+    rows = mat.shape[0]
+    output = np.full(rows, -1)
+    output[list(outputs)] = np.arange(len(outputs))
+    pooled = output < 0
+    pooled[: cols - inputs] |= mat[:, inputs:].any(axis=0)  # read by a later row
+    slot = np.arange(inputs + rows)  # column -> pool row
+    slot[inputs:][pooled] = inputs + np.arange(np.count_nonzero(pooled))
+    first = np.argmax(mat != 0, axis=1)
+    copy = (np.count_nonzero(mat, axis=1) == 1) & (mat.max(axis=1) == 1) & (first < inputs) & ~pooled
+    # first packet each row is computed into: its pool row, else its output row of the block
+    target = np.where(pooled, 8 * slot[inputs:], 8 * output)
+    total = 8 * rows
+    row, col = np.nonzero(mat)
+    entry, bo, bi = np.nonzero(bits[mat[row, col]])  # row-major, then bo, then bi
+    packet = (8 * row[entry] + bo).astype(np.min_scalar_type(total))  # 16 bits sort by radix
+    order = np.argsort(packet, kind="stable")  # by packet, each packet's sources ascending
+    src = (8 * slot[col[entry]] + bi)[order]
+    bounds = np.searchsorted(packet[order], np.arange(total + 1))
+
+    def packets(which):
+        """(target packet, its pool packets) for packets 8r .. 8r+7 of each row r in ``which``."""
+        spans = [range(8 * r, 8 * r + 8) for r in which]
+        return [(int(target[o >> 3]) + (o & 7), src[bounds[o] : bounds[o + 1]]) for span in spans for o in span]
+
+    copies = [(int(output[r]), int(first[r])) for r in np.flatnonzero(copy)]
+    if copy.all():
+        return copies, None
+    moved = np.flatnonzero(pooled & (output >= 0))
+    computed = np.flatnonzero(~pooled & ~copy)
+    return copies, (packets(np.flatnonzero(pooled)), packets(computed), output[moved], slot[inputs + moved])
 
 
-def _xor_packets(schedule, data: np.ndarray, out: np.ndarray, s0: int, packet: int) -> None:
+@lru_cache(maxsize=16)
+def _row_terms(rows: tuple, skip_zeros: bool) -> list:
+    """Each row's (column, coefficient) terms, zeros left out with ``skip_zeros``; cached per matrix."""
+    return [[(j, c) for j, c in enumerate(row) if c or not skip_zeros] for row in rows]
+
+
+def _xor_packets(blocks, data: np.ndarray, out: np.ndarray, s0: int, packet: int) -> None:
     """Stripes s0 .. s0 + 8*packet of ``out``: one block, one gather-XOR per scheduled packet."""
+    pooled, computed, moved, sources = blocks
     s1 = s0 + 8 * packet
-    src = np.ascontiguousarray(data[:, s0:s1]).reshape(-1, packet)
+    rows_in = data.shape[0]
+    pool = np.empty((8 * rows_in + len(pooled), packet), dtype=np.uint8)
+    pool[: 8 * rows_in].reshape(rows_in, 8 * packet)[...] = data[:, s0:s1]
+    for o, idx in pooled:
+        np.bitwise_xor.reduce(pool[idx], axis=0, out=pool[o])
     dst = out[:, s0:s1].reshape(out.shape[0], 8, packet)  # a view: packet b of row r is dst[r, b]
-    for o, idx in schedule:
-        np.bitwise_xor.reduce(src[idx], axis=0, out=dst[o >> 3, o & 7])
+    for o, idx in computed:
+        np.bitwise_xor.reduce(pool[idx], axis=0, out=dst[o >> 3, o & 7])
+    dst[moved] = pool.reshape(-1, 8, packet)[sources]
 
 
-def apply_rows_bulk(field, mat: Matrix, data: np.ndarray, skip_zeros: bool = True) -> np.ndarray:
-    """mat applied to the stripes that are ``data``'s columns, stripe 0 first.
+def apply_rows_bulk(field, mat: Matrix | Program, data: np.ndarray, skip_zeros: bool = True) -> np.ndarray:
+    """The outputs of ``mat`` on the stripes that are ``data``'s columns, stripe 0 first.
 
-    Over a prime field each stripe is a column of symbols and the result is
-    mat @ data.  Over GF(2^8) the stripes are cut into blocks of
-    8 * ``PACKET`` from stripe 0.  Packet b of a block (stripes b*PACKET ..
-    (b+1)*PACKET) holds bit b of PACKET * 8 virtual symbols, and every 1 in
-    a coefficient's bitmatrix (``_xor_schedule``) is one packet XOR, so a
-    coefficient costs its bitmatrix ones and a zero costs nothing,
-    ``skip_zeros`` or not; a row whose one nonzero is a 1, as a systematic
-    row is, is one row copy.  The last, partial block of w stripes uses
-    packets of w // 8 bytes; its final w % 8 stripes go symbol by symbol
-    through ``Matrix.mul_vector``.  Prime-field data is first made one C-order
-    ``_prime_dtype`` array (no copy when it already is one); a term c != 1 is
-    then one multiply into a scratch row plus one add, and a unit term one
-    add.  ``data`` may be any 2-D view, including a transposed one.
+    ``mat`` is a matrix, whose result is mat @ data, or a straight-line
+    ``linalg.Program`` (``LinearCode.decode_program``), whose rows may also
+    read its earlier rows; every one of its rows is a kernel row, computed
+    in its output row when it is one.  Over a prime field each stripe is a
+    column of symbols, and a program's rows are computed in order.  Over
+    GF(2^8) the stripes are cut into blocks of 8 * ``PACKET`` from stripe
+    0.  Packet b of a block (stripes b*PACKET .. (b+1)*PACKET) holds bit b
+    of PACKET * 8 virtual symbols, and every 1 in a coefficient's bitmatrix
+    (``_xor_schedule``) is one packet XOR, so a coefficient costs its
+    bitmatrix ones and a zero costs nothing, ``skip_zeros`` or not.  The
+    program rows that later rows read are computed in a pool beside the
+    block's input packets, then moved to their output rows.  The last,
+    partial block of w stripes uses packets of w // 8 bytes; its final
+    w % 8 stripes go through the exact ``mat @ Matrix``.  Prime-field data,
+    symbols below q, is first made one C-order ``_prime_dtype`` array (no
+    copy when it already is one); a term c != 1 is then one multiply into a
+    scratch row plus one add, a unit term one add, and partial sums are
+    reduced by a floor division by q.  Over either field, an output row
+    whose one nonzero is a 1, as a systematic row is, is one row copy.
+    ``data`` may be any 2-D view, including a transposed one.
     """
-    if data.shape[0] != mat.cols:
-        raise DimensionMismatch(f"data has {data.shape[0]} rows, matrix wants {mat.cols}")
+    if data.shape[0] != mat.inputs:
+        raise DimensionMismatch(f"data has {data.shape[0]} rows, matrix wants {mat.inputs}")
+    stripes = data.shape[1]
     if field.kind == "binary8":
         if data.dtype != np.uint8:
             raise FieldMismatch(f"GF(2^8) stripes must be uint8, got {data.dtype}")
-        copies, schedule = _xor_schedule(field, b"".join(bytes(row) for row in mat.data), mat.cols)
-        stripes = data.shape[1]
-        out = np.empty((mat.rows, stripes), dtype=np.uint8)
+        coefficients = b"".join(bytes(row) for row in mat.data)
+        copies, blocks = _xor_schedule(field, coefficients, mat.cols, mat.inputs, tuple(mat.outputs))
+        out = np.empty((len(mat.outputs), stripes), dtype=np.uint8)
         for r, j in copies:
             out[r] = data[j]
-        if schedule:
+        if blocks:
             block = 8 * PACKET
             full = stripes - stripes % block
             for s0 in range(0, full, block):
-                _xor_packets(schedule, data, out, s0, PACKET)
+                _xor_packets(blocks, data, out, s0, PACKET)
             if stripes - full >= 8:
-                _xor_packets(schedule, data, out, full, (stripes - full) // 8)
-        for s in range(stripes - stripes % 8, stripes):
-            out[:, s] = mat.mul_vector([int(x) for x in data[:, s]])
+                _xor_packets(blocks, data, out, full, (stripes - full) // 8)
+        tail = stripes - stripes % 8
+        if tail < stripes:
+            out[:, tail:] = (mat @ Matrix(field, data[:, tail:].tolist())).data
         return out
     q = field.q
     data = np.ascontiguousarray(data, dtype=_prime_dtype(q))  # copies only to convert
     # keep partial sums below a quarter of the dtype's range before reducing
     stride = max(1, (1 << (8 * data.itemsize - 2)) // (q * q))
-    out = np.zeros((mat.rows, data.shape[1]), dtype=data.dtype)
-    prod = np.empty(data.shape[1], dtype=data.dtype)
-    for r, row in enumerate(mat.data):
-        acc = out[r]
-        since_mod = 0
-        for j, c in enumerate(row):
-            if c == 0 and skip_zeros:
-                continue
-            if c == 1:
-                acc += data[j]
+    out = np.empty((len(mat.outputs), stripes), dtype=data.dtype)
+    # where each row is computed: its output row, or else a spare row
+    target = [None] * mat.rows
+    for k, r in enumerate(mat.outputs):
+        target[r] = out[k]
+    spare = iter(np.empty((mat.rows - len(mat.outputs), stripes), dtype=data.dtype))
+    target = [next(spare) if t is None else t for t in target]
+    pool = [*data, *target]  # what each column reads
+    scratch = np.empty(stripes, dtype=data.dtype)
+    for acc, terms in zip(target, _row_terms(tuple(map(tuple, mat.data)), skip_zeros)):
+        if not terms:
+            acc[...] = 0
+        elif len(terms) == 1 and terms[0][1] == 1:
+            acc[...] = pool[terms[0][0]]  # a copy of a row that is already reduced
+            continue
+        for n, (j, c) in enumerate(terms, 1):
+            if n == 1:
+                np.multiply(pool[j], c, out=acc)
             else:
-                acc += np.multiply(data[j], c, out=prod)
-            since_mod += 1
-            if since_mod >= stride:
-                acc %= q
-                since_mod = 0
-        acc %= q
+                acc += pool[j] if c == 1 else np.multiply(pool[j], c, out=scratch)
+            if n % stride == 0 or n == len(terms):
+                # acc %= q, with numpy's fast path for division by a scalar
+                np.floor_divide(acc, q, out=scratch)
+                scratch *= q
+                acc -= scratch
     return out
 
 
@@ -408,8 +477,8 @@ def repair_stripes(code: LinearCode, failed: int, helpers, rows: np.ndarray) -> 
 
 def decode_stripes(code: LinearCode, ids, rows: np.ndarray) -> np.ndarray:
     """The (B x S) message stripes from the rows of nodes ``ids``, stacked in
-    that order as a (k*alpha x S) array."""
-    return apply_rows_bulk(code.params.field, code.decode_matrix(ids), rows)
+    that order as a (k*alpha x S) array, through ``LinearCode.decode_program``."""
+    return apply_rows_bulk(code.params.field, code.decode_program(ids), rows)
 
 
 def random_stripes(field, rows: int, stripes: int, seed: int) -> np.ndarray:

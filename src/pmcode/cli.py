@@ -37,8 +37,10 @@ segment of a shard, each shard byte once, after a header and file-size
 check) and each result is written at its offset with ``pwrite``.  Every
 output goes to a temporary file beside it, which replaces the destination
 only after the last chunk and is removed on any error, so a failed command
-leaves no partial output.  ``decode`` also checks that the last stripe's
-bytes past the payload length decode to zero.  The field arithmetic is in
+leaves no partial output; an output that is one of the command's own inputs
+(a shard it reads, or the descriptor) is refused before anything is
+written.  ``decode`` also checks that the last stripe's bytes past the
+payload length decode to zero.  The field arithmetic is in
 ``analysis.encode_stripes``, ``repair_stripes`` and ``decode_stripes``; this
 module does file I/O and argument handling.
 """
@@ -375,6 +377,17 @@ def _open_nodes(stack: ExitStack, shard_dir, shards: dict, ids, digest: bytes, p
     return sources, *geometry
 
 
+def _refuse_overwriting(out, descriptor, sources) -> None:
+    """Raise CliError if ``out`` is the descriptor or one of the opened shards in ``sources``."""
+    try:
+        target = os.stat(out)
+    except FileNotFoundError:
+        return
+    inputs = [os.stat(descriptor)] + [os.fstat(fd) for _, fd in sources]
+    if any(os.path.samestat(target, st) for st in inputs):
+        raise CliError(f"{out} is one of this command's inputs; write the output elsewhere")
+
+
 def _stream_rows(sources, params, stripes: int, rows_out: int):
     """Yield (s0, rows): stripes s0..s0+w of every source's rows, stacked in order.
 
@@ -475,6 +488,7 @@ def cmd_repair(args) -> int:
     out = Path(args.out or Path(args.shard_dir) / shard_name(failed))
     with ExitStack() as stack:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, helpers, digest, p, "helper")
+        _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
         for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.d + p.alpha):
@@ -495,10 +509,12 @@ def cmd_decode(args) -> int:
         code.check_decode_args(ids)
     except (BadCount, IndexOutOfRange) as exc:
         raise CliError(f"bad node list {args.nodes!r}: {exc}") from exc
+    program = code.decode_program(ids)
     with ExitStack() as stack:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
+        _refuse_overwriting(args.out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(args.out))
-        for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.B):
+        for s0, rows in _stream_rows(sources, p, stripes, rows_out=program.rows):  # each a kernel row
             message = decode_stripes(code, ids, rows)
             if message.max(initial=0) > 255:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")

@@ -12,10 +12,12 @@ Psi = [Phi  Lambda*Phi].  Codes with d > 2k-2 are obtained by shortening a
 base-regime parent (see :mod:`pmcode.construct`).
 
 Everything here is exact pure-Python arithmetic, and a code encodes,
-decodes and repairs one stripe at a time.  The matrices it applies (its
-generator, ``LinearCode.decode_matrix`` and ``LinearCode.repair_matrices``,
-built once per node set) are what the numpy bulk path in
-:mod:`pmcode.analysis` applies to many stripes at once.
+decodes and repairs one stripe at a time.  What the numpy bulk path in
+:mod:`pmcode.analysis` applies to many stripes at once is built here, once
+per node set: the generator, ``LinearCode.repair_matrices``, and
+``LinearCode.decode_program``, a sparse elimination of the stacked node
+rows (``linalg.elimination_program``).  ``LinearCode.decode_matrix``, their
+dense inverse, serves the per-stripe ``decode`` and ``certify``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     PropertyViolation,
     Singular,
 )
-from .linalg import Matrix, vandermonde
+from .linalg import Matrix, Program, elimination_program, kernel_cost, vandermonde
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +439,13 @@ class RepairBundle:
     rebuilt: tuple         # the alpha recovered symbols of the failed node
 
 
+def _cheaper_program(block: Matrix) -> Program | Matrix:
+    """``block``'s elimination program, or the inverse it computes if that costs no more."""
+    program = elimination_program(block)
+    flat = program @ Matrix.identity(block.field, block.rows)
+    return flat if kernel_cost(flat) <= kernel_cost(program) else program
+
+
 class LinearCode:
     """A code presented by its (n*alpha) x B generator, plus repair structure.
 
@@ -454,7 +463,7 @@ class LinearCode:
         self.params = params
         self.generator = generator
         self.label = label or f"code {params}"
-        self._matrices: dict = {}  # node set -> its decode_matrix or repair_matrices
+        self._matrices: dict = {}  # node set -> its decode_matrix, decode_program or repair_matrices
 
     # -- encoding ----------------------------------------------------------
 
@@ -558,12 +567,25 @@ class LinearCode:
 
     def decode_matrix(self, ids: Sequence[int]) -> Matrix:
         """B x k*alpha inverse of the stacked node blocks of ``ids``, computed once per node list."""
-        key = ("decode", tuple(ids))
+        return self._solve(("decode", tuple(ids)), ids, Matrix.inverse)
+
+    def decode_program(self, ids: Sequence[int]) -> Program | Matrix:
+        """What the bulk decode applies to the stacked rows of ``ids``, computed once per node list.
+
+        The elimination program of the stacked node blocks
+        (``linalg.elimination_program``), or the dense inverse it computes
+        when that costs the kernel no more (``linalg.kernel_cost``), as it
+        can for a dense block.  Either way it is exact, and no inverse is
+        taken.
+        """
+        return self._solve(("program", tuple(ids)), ids, _cheaper_program)
+
+    def _solve(self, key, ids: Sequence[int], solve):
         if key not in self._matrices:
             self.check_decode_args(ids)
             block = Matrix.vstack([self.node_block(i) for i in ids])
             try:
-                self._matrices[key] = block.inverse()
+                self._matrices[key] = solve(block)
             except Singular as exc:
                 raise Singular(f"nodes {list(ids)} do not determine the message") from exc
         return self._matrices[key]

@@ -8,6 +8,7 @@ loops stay in simple int operations (mod-p or log/antilog lookups).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -115,6 +116,15 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
+    # a matrix is the Program whose rows are its outputs and read only inputs
+    @property
+    def inputs(self) -> int:
+        return self.cols
+
+    @property
+    def outputs(self) -> range:
+        return range(self.rows)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -221,6 +231,191 @@ def vandermonde(field, xs: Sequence[int], cols: int) -> Matrix:
             row.append(acc)
         data.append(row)
     return Matrix(field, data)
+
+
+# ---------------------------------------------------------------------------
+# straight-line programs
+# ---------------------------------------------------------------------------
+
+class Program:
+    """A straight-line linear program over ``inputs`` input rows.
+
+    Row t of ``data`` is a linear combination: its column j < ``inputs``
+    reads input row j, and its column ``inputs`` + s reads the program's
+    own row s, for s < t only.  ``outputs`` names the row that holds each
+    output, in order.  A :class:`Matrix` is the program whose rows are its
+    outputs and read only inputs.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "inputs", "outputs")
+
+    def __init__(self, field, data: Sequence[Sequence[int]], inputs: int, outputs: Sequence[int]):
+        self.field = field
+        self.data = [list(r) for r in data]
+        self.rows = len(self.data)
+        self.cols = inputs + self.rows
+        self.inputs = inputs
+        self.outputs = tuple(outputs)
+        if not self.rows or any(len(r) != self.cols for r in self.data):
+            raise DimensionMismatch(f"each row of a program over {inputs} inputs has {self.cols} columns")
+        if any(any(row[inputs + t :]) for t, row in enumerate(self.data)):
+            raise DimensionMismatch("a program row reads a row not yet computed")
+        if len(set(self.outputs)) != len(self.outputs) or not set(self.outputs) <= set(range(self.rows)):
+            raise DimensionMismatch(f"outputs {self.outputs} must be distinct rows")
+
+    def __repr__(self) -> str:
+        return f"Program({self.field!r}, {self.inputs} in, {self.rows} rows, {len(self.outputs)} out)"
+
+    def __matmul__(self, other: Matrix) -> Matrix:
+        """The program run on the rows of ``other``: its outputs, one row each."""
+        if self.field != other.field:
+            raise FieldMismatch("program and matrix live in different fields")
+        if other.rows != self.inputs:
+            raise DimensionMismatch(f"program reads {self.inputs} rows, got {other.rows}")
+        field, width = self.field, other.cols
+        if field.kind == "prime":
+            q = field.q
+            pool = [list(r) for r in other.data]
+
+            def combine(row):
+                acc = [0] * width
+                for c, x in zip(row, pool):
+                    if c:
+                        acc = [a + c * b for a, b in zip(acc, x)]
+                return [a % q for a in acc]
+        else:  # rows as bytes, as in _matmul_gf256
+            tables = field.product_tables
+            pool = [bytes(r) for r in other.data]
+
+            def combine(row):
+                acc = 0
+                for c, x in zip(row, pool):
+                    if c:
+                        acc ^= int.from_bytes(x if c == 1 else x.translate(tables[c]), "big")
+                return acc.to_bytes(width, "big")
+
+        for row in self.data:
+            pool.append(combine(row))
+        return Matrix(field, [list(pool[self.inputs + r]) for r in self.outputs])
+
+
+@lru_cache(maxsize=4)
+def _bitmatrix_ones(field) -> tuple:
+    """The 1s in each coefficient's 8x8 GF(2) matrix: the popcounts of c*x^b, b < 8."""
+    return tuple(sum(table[1 << b].bit_count() for b in range(8)) for table in field.product_tables)
+
+
+def kernel_cost(mat: Matrix | Program) -> int:
+    """What the bulk kernel spends on one stripe (prime fields) or block (GF(2^8)) of ``mat``.
+
+    A row whose one nonzero is a 1 is a copy and costs nothing.  Any other
+    nonzero costs one multiply-add term over a prime field, and over GF(2^8)
+    the 1s of its bitmatrix, one packet XOR each.
+    """
+    ones = _bitmatrix_ones(mat.field) if mat.field.kind == "binary8" else None
+    cost = 0
+    for row in mat.data:
+        nonzero = [c for c in row if c]
+        if nonzero != [1]:
+            cost += len(nonzero) if ones is None else sum(ones[c] for c in nonzero)
+    return cost
+
+
+def elimination_program(a: Matrix) -> Program:
+    """x = a^-1 y as a straight-line program over y: the elimination form of the inverse.
+
+    Markowitz (Management Science, 1957): each pivot is the nonzero of the
+    rows and columns not yet eliminated with the least (r-1)(c-1), r and c
+    its row's and column's nonzeros, ties going to a pivot of 1, then to the
+    lowest row and column.  Taking f times pivot row p from row i makes i's
+    right-hand side z_i = y_i - sum f z_p (a forward row; y_i itself when no
+    pivot touched row i), and back substitution in reverse pivot order gives
+    x_c = (z_p - sum u x_c') / pivot for pivot row p's column c.  The
+    program's rows are the forward rows, then the back-substitution rows;
+    an x that equals its forward row is that row, and one that equals an
+    input is a unit row that nothing reads.  Raises Singular when ``a`` has
+    no inverse.
+    """
+    if a.rows != a.cols:
+        raise DimensionMismatch("only square matrices can be inverted")
+    field, n = a.field, a.rows
+    sub, mul, div = field.sub, field.mul, field.div
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(a.data)}
+    cols = [set() for _ in range(n)]
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    lower = [[] for _ in range(n)]  # row i: (pivot step, factor) taken from it
+    pivots = []  # (row, column, pivot row)
+    for step in range(n):
+        best, least = None, n * n  # least is best's cost, to build few tuples
+        counts = [len(c) - 1 for c in cols]
+        for i, row in rows.items():  # in ascending row order
+            rc = len(row) - 1
+            for j, v in row.items():
+                cost = rc * counts[j]
+                if cost <= least and (best is None or (cost, v != 1, i, j) < best):
+                    best, least = (cost, v != 1, i, j), cost
+            if best is not None and best[:2] == (0, False):
+                break  # no later row beats it
+        if best is None:
+            raise Singular("matrix is singular")
+        pi, pj = best[2], best[3]
+        prow = rows.pop(pi)
+        for j in prow:
+            cols[j].discard(pi)
+        pivot = prow[pj]
+        for i in list(cols[pj]):
+            row = rows[i]
+            f = div(row[pj], pivot)
+            for j, v in prow.items():
+                value = sub(row.get(j, 0), mul(f, v))
+                if value:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = value
+                else:
+                    row.pop(j, None)
+                    cols[j].discard(i)
+            lower[i].append((step, f))
+        pivots.append((pi, pj, prow))
+
+    program = []  # its rows, each a {column read: coefficient} dict
+    z = [0] * n  # step -> the column holding its right-hand side
+    for step, (i, _, _) in enumerate(pivots):
+        if lower[i]:
+            row = {i: 1}
+            for s, f in lower[i]:
+                row[z[s]] = sub(0, f)
+            z[step] = n + len(program)
+            program.append(row)
+        else:
+            z[step] = i
+    x = [0] * n  # column -> the column that later rows read it from
+    outputs = [0] * n
+    for step in reversed(range(n)):
+        _, pj, prow = pivots[step]
+        scale = field.inv(prow[pj])
+        row = {z[step]: scale}
+        for j, v in prow.items():
+            if j != pj:
+                row[x[j]] = sub(0, mul(scale, v))
+        copy = row == {z[step]: 1}
+        if copy and z[step] >= n:  # x is its forward row
+            x[pj] = z[step]
+            outputs[pj] = z[step] - n
+        else:
+            program.append(row)
+            outputs[pj] = len(program) - 1
+            x[pj] = z[step] if copy else n + outputs[pj]
+    width = n + len(program)
+    dense = []
+    for row in program:
+        line = [0] * width
+        for j, v in row.items():
+            line[j] = v
+        dense.append(line)
+    return Program(field, dense, n, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -502,3 +502,22 @@ def test_repair_checks_helpers_before_reading_shards(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert f"cannot repair node {failed}" in err and message in err
 
+
+
+@pytest.mark.parametrize("target", ["shard", "descriptor"])
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_output_naming_an_input_is_refused(tmp_path, capsys, command, target):
+    desc_path, shards = _cycle(
+        tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), bytes(range(256)) * 40
+    )
+    out = shards / shard_name(0) if target == "shard" else desc_path
+    files = [desc_path, *sorted(shards.iterdir())]
+    before = [p.read_bytes() for p in files]
+    if command == "decode":
+        argv = ("--nodes", "0,1,2,3", "--out", out)
+    else:  # the default helpers are nodes 0..5
+        argv = ("--failed", 7, "--out", out)
+    assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv) == 2
+    assert "is one of this command's inputs" in capsys.readouterr().err
+    assert [desc_path, *sorted(shards.iterdir())] == files  # no temporary file is left
+    assert [p.read_bytes() for p in files] == before

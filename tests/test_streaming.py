@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pmcode
-from pmcode import analysis, cli
+from pmcode import analysis, cli, core
 from pmcode.analysis import chunk_stripes, decode_stripes, encode_stripes, random_stripes, repair_stripes
 from pmcode.cli import main, shard_name
 from pmcode.construct import build_sparse_systematic
@@ -120,6 +120,16 @@ def test_bulk_matrices_are_built_once_per_node_set(monkeypatch):
     assert calls == [0, 0]
     inverses = {id(code.decode_matrix([0, 1, 2, 3])) for _ in range(3)}
     assert len(inverses) == 1
+    eliminations = []
+    real_elimination = core.elimination_program
+    monkeypatch.setattr(core, "elimination_program", lambda block: eliminations.append(1) or real_elimination(block))
+    rows = random_stripes(p.field, p.B, 5, seed=2)
+    for _ in range(3):
+        decode_stripes(code, [4, 5, 6, 7], rows)
+    assert len(eliminations) == 1
+    decode_stripes(code, [3, 5, 6, 7], rows)
+    assert len(eliminations) == 2
+    assert len({id(code.decode_program([4, 5, 6, 7])) for _ in range(3)}) == 1
 
 
 # ---------------------------------------------------------------------------
