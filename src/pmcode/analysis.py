@@ -10,7 +10,9 @@ bitmatrix over GF(2), and each 1 in it is one XOR of a ``PACKET``-byte
 packet.  Over prime fields a term is an int32 (int64 for large moduli)
 multiply-accumulate.  The same kernel backs ``encode_stripes``,
 ``repair_stripes`` and ``decode_stripes``, which apply a code's generator,
-``repair_matrices`` and ``decode_program``.  A decode applies no inverse:
+``repair_matrices`` and ``decode_program``.  A repair takes only the helper
+rows its repair vector names, and when each helper sends one of them as it
+is, applies only the rebuild matrix.  A decode applies no inverse:
 its program is a sparse elimination of the node rows (Markowitz's
 elimination form of the inverse), whose rows also read earlier rows, so it
 costs the nonzeros of the code's own rows after fill-in rather than those
@@ -464,15 +466,18 @@ def encode_stripes(code: LinearCode, data: np.ndarray, skip_zeros: bool = True) 
 
 
 def repair_stripes(code: LinearCode, failed: int, helpers, rows: np.ndarray) -> np.ndarray:
-    """The failed node's (alpha x S) rows from the helpers' rows, stacked in
-    helper order as a (d*alpha x S) array.
+    """The failed node's (alpha x S) rows from the helpers' selected rows
+    (``LinearCode.repair_matrices``), stacked in helper order as a
+    (d*|S| x S) array.
 
     The transfer matrix takes each stripe to the d symbols the helpers send,
-    one each, and the rebuild matrix takes those to the failed node's alpha.
+    one each; when there is none, the rows are those symbols.  The rebuild
+    matrix takes them to the failed node's alpha.
     """
-    transfer, rebuild = code.repair_matrices(failed, helpers)
+    _, transfer, rebuild = code.repair_matrices(failed, helpers)
     field = code.params.field
-    return apply_rows_bulk(field, rebuild, apply_rows_bulk(field, transfer, rows))
+    sent = rows if transfer is None else apply_rows_bulk(field, transfer, rows)
+    return apply_rows_bulk(field, rebuild, sent)
 
 
 def decode_stripes(code: LinearCode, ids, rows: np.ndarray) -> np.ndarray:
@@ -548,6 +553,48 @@ def predicted_speedup(sparse: LinearCode, dense: LinearCode) -> float:
     return parity_nonzeros(dense) / parity_nonzeros(sparse)
 
 
+def _benchmark(codes, workload_mib: float, reps: int, seed: int, skip_zeros: bool = True) -> list:
+    """Median-of-reps single-threaded encode timings of ``codes``, of one B and field.
+
+    They encode one seeded workload: at least ``workload_mib`` of message
+    data, padded up to whole stripes.  After one untimed warmup of each,
+    the reps go round the codes in turn, so that a drift in CPU speed during
+    the run moves every median alike.
+    """
+    p = codes[0].params
+    stripe_bytes = p.B * SHARD_DTYPE[shard_layout(p.field)["kind"]].itemsize
+    stripes = max(1, math.ceil(workload_mib * (1 << 20) / stripe_bytes))
+    data = random_stripes(p.field, p.B, stripes, seed)
+    for code in codes:
+        encode_stripes(code, data, skip_zeros)  # warmup
+    times = [[] for _ in codes]
+    for _ in range(reps):
+        for code, ts in zip(codes, times):
+            t0 = time.perf_counter()
+            encode_stripes(code, data, skip_zeros)
+            ts.append(time.perf_counter() - t0)
+    message_bytes = stripes * stripe_bytes
+    results = []
+    for code, ts in zip(codes, times):
+        med = statistics.median(ts)
+        results.append(BenchResult(
+            label=code.label,
+            n=code.params.n,
+            k=code.params.k,
+            d=code.params.d,
+            q=p.field.order,
+            stripes=stripes,
+            message_bytes=message_bytes,
+            reps=reps,
+            seconds_median=med,
+            seconds_all=tuple(ts),
+            throughput_mib_s=message_bytes / (1 << 20) / med if med > 0 else float("inf"),
+            generator_nonzeros=sum(code.generator.nonzeros_per_row()),
+            parity_nonzeros=parity_nonzeros(code),
+        ))
+    return results
+
+
 def benchmark_encode(
     code: LinearCode,
     workload_mib: float = 64.0,
@@ -560,34 +607,7 @@ def benchmark_encode(
     The workload is at least ``workload_mib`` of message data, padded up to
     whole stripes.  One warmup pass runs untimed.
     """
-    p = code.params
-    stripe_bytes = p.B * SHARD_DTYPE[shard_layout(p.field)["kind"]].itemsize
-    stripes = max(1, math.ceil(workload_mib * (1 << 20) / stripe_bytes))
-    data = random_stripes(p.field, p.B, stripes, seed)
-    encode_stripes(code, data, skip_zeros)  # warmup
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        encode_stripes(code, data, skip_zeros)
-        times.append(time.perf_counter() - t0)
-    med = statistics.median(times)
-    message_bytes = stripes * stripe_bytes
-    g = code.generator
-    return BenchResult(
-        label=code.label,
-        n=p.n,
-        k=p.k,
-        d=p.d,
-        q=p.field.order,
-        stripes=stripes,
-        message_bytes=message_bytes,
-        reps=reps,
-        seconds_median=med,
-        seconds_all=tuple(times),
-        throughput_mib_s=message_bytes / (1 << 20) / med if med > 0 else float("inf"),
-        generator_nonzeros=sum(g.nonzeros_per_row()),
-        parity_nonzeros=parity_nonzeros(code),
-    )
+    return _benchmark([code], workload_mib, reps, seed, skip_zeros)[0]
 
 
 def benchmark_pair(
@@ -597,12 +617,12 @@ def benchmark_pair(
     reps: int = 5,
     seed: int = 0,
 ) -> tuple[BenchResult, BenchResult, float, float]:
-    """Benchmark a sparse code against its dense counterpart.
+    """Benchmark a sparse code against its dense counterpart, of the same B and field.
 
-    Returns (sparse result, dense result, measured speedup, predicted
-    speedup); the prediction is the parity nonzero-count ratio.
+    The reps alternate, sparse then dense (``_benchmark``).  Returns (sparse
+    result, dense result, measured speedup, predicted speedup); the
+    prediction is the parity nonzero-count ratio.
     """
-    rs = benchmark_encode(sparse, workload_mib, reps, seed)
-    rd = benchmark_encode(dense, workload_mib, reps, seed)
+    rs, rd = _benchmark([sparse, dense], workload_mib, reps, seed)
     measured = rd.seconds_median / rs.seconds_median
     return rs, rd, measured, predicted_speedup(sparse, dense)

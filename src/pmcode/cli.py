@@ -32,17 +32,21 @@ hold the message bytes as they are.
 ``encode``, ``repair`` and ``decode`` stream the stripes in chunks of
 ``analysis.chunk_stripes`` stripes (whole packet blocks over GF(2^8)), so
 their peak memory is bounded by the chunk, not by the object.  Each chunk is
-read in place (``readinto`` on the input file, one ``preadv`` per stored-row
-segment of a shard, each shard byte once, after a header and file-size
-check) and each result is written at its offset with ``pwrite``.  Every
-output goes to a temporary file beside it, which replaces the destination
-only after the last chunk and is removed on any error, so a failed command
-leaves no partial output; an output that is one of the command's own inputs
-(a shard it reads, or the descriptor) is refused before anything is
-written.  ``decode`` also checks that the last stripe's bytes past the
-payload length decode to zero.  The field arithmetic is in
-``analysis.encode_stripes``, ``repair_stripes`` and ``decode_stripes``; this
-module does file I/O and argument handling.
+read in place (``readinto`` on the input file, one ``preadv`` per segment of
+a shard row that the command reads, each byte once, after a header and
+file-size check) and each result is written at its offset with ``pwrite``.
+``decode`` reads every row of its k shards; ``repair`` reads only the rows
+of each helper that the repair vector names (``LinearCode.repair_matrices``),
+one row per helper for a node repaired by transfer, and prints the symbols
+per stripe it read and the helpers sent beside the k*alpha that a naive
+rebuild reads.  Every output goes to a temporary file beside it, which
+replaces the destination only after the last chunk and is removed on any
+error, so a failed command leaves no partial output; an output that is one
+of the command's own inputs (the data file or a shard it reads, or the
+descriptor) is refused before anything is written.  ``decode`` also checks
+that the last stripe's bytes past the payload length decode to zero.  The
+field arithmetic is in ``analysis.encode_stripes``, ``repair_stripes`` and
+``decode_stripes``; this module does file I/O and argument handling.
 """
 
 from __future__ import annotations
@@ -297,11 +301,11 @@ def _read_header(fd: int, path, digest: bytes, field, alpha: int) -> tuple[int, 
     return node, stripes, payload_len
 
 
-def _read_rows(fd: int, path, out: np.ndarray, stripes: int, s0: int, field) -> None:
-    """Fill ``out`` (alpha x w, symbol dtype) with stripes s0..s0+w of each stored row."""
+def _read_rows(fd: int, path, out: np.ndarray, stripes: int, s0: int, field, rows) -> None:
+    """Fill ``out`` (len(rows) x w, symbol dtype) with stripes s0..s0+w of the stored ``rows``."""
     size = out.itemsize
-    for r in range(out.shape[0]):
-        _pread_into(fd, memoryview(out[r].view(np.uint8)), _HEADER.size + (r * stripes + s0) * size, path)
+    for i, r in enumerate(rows):
+        _pread_into(fd, memoryview(out[i].view(np.uint8)), _HEADER.size + (r * stripes + s0) * size, path)
     if field.kind != "binary8" and out.max(initial=0) >= field.q:
         raise CliError(f"{path}: symbol out of field range")
 
@@ -378,7 +382,7 @@ def _open_nodes(stack: ExitStack, shard_dir, shards: dict, ids, digest: bytes, p
 
 
 def _refuse_overwriting(out, descriptor, sources) -> None:
-    """Raise CliError if ``out`` is the descriptor or one of the opened shards in ``sources``."""
+    """Raise CliError if ``out`` is the descriptor or a file opened in ``sources``, (path, fd) pairs."""
     try:
         target = os.stat(out)
     except FileNotFoundError:
@@ -388,20 +392,20 @@ def _refuse_overwriting(out, descriptor, sources) -> None:
         raise CliError(f"{out} is one of this command's inputs; write the output elsewhere")
 
 
-def _stream_rows(sources, params, stripes: int, rows_out: int):
-    """Yield (s0, rows): stripes s0..s0+w of every source's rows, stacked in order.
+def _stream_rows(sources, rows, params, stripes: int, rows_out: int):
+    """Yield (s0, chunk): stripes s0..s0+w of the stored ``rows`` of every source, stacked in order.
 
     Each chunk holds as many stripes as ``chunk_stripes`` allows for the
-    stacked rows plus ``rows_out`` result rows; each shard byte is read once.
+    stacked rows plus ``rows_out`` result rows.  Each byte of a selected row
+    is read once, and no other row is read.
     """
-    alpha = params.alpha
-    width = chunk_stripes(params.field, len(sources) * alpha, rows_out)
+    width = chunk_stripes(params.field, len(sources) * len(rows), rows_out)
     dtype = SHARD_DTYPE[shard_layout(params.field)["kind"]]
     for s0 in range(0, stripes, width):
-        rows = np.empty((len(sources) * alpha, min(width, stripes - s0)), dtype=dtype)
-        for i, (path, fd) in enumerate(sources):
-            _read_rows(fd, path, rows[i * alpha : (i + 1) * alpha], stripes, s0, params.field)
-        yield s0, rows
+        chunk = np.empty((len(sources), len(rows), min(width, stripes - s0)), dtype=dtype)
+        for out, (path, fd) in zip(chunk, sources):
+            _read_rows(fd, path, out, stripes, s0, params.field, rows)
+        yield s0, chunk.reshape(-1, chunk.shape[2])
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -454,6 +458,8 @@ def cmd_encode(args) -> int:
             raise CliError(f"{args.data}: not a regular file; the stripe count needs its size up front")
         size = st.st_size
         out.mkdir(parents=True, exist_ok=True)
+        for i in range(p.n):
+            _refuse_overwriting(out / shard_name(i), args.descriptor, [(args.data, src.fileno())])
         stripes = _stripe_count(size, p.B)
         shards = [stack.enter_context(_atomic_output(out / shard_name(i))) for i in range(p.n)]
         for i, fd in enumerate(shards):
@@ -486,14 +492,20 @@ def cmd_repair(args) -> int:
     except (BadHelperCount, IndexOutOfRange) as exc:
         raise CliError(f"cannot repair node {failed}: {exc}") from exc
     out = Path(args.out or Path(args.shard_dir) / shard_name(failed))
+    rows, transfer, _ = code.repair_matrices(failed, helpers)
     with ExitStack() as stack:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, helpers, digest, p, "helper")
         _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
-        for s0, rows in _stream_rows(sources, p, stripes, rows_out=p.d + p.alpha):
-            _write_rows(fd, repair_stripes(code, failed, helpers, rows), stripes, s0, p.field)
-    print(f"rebuilt node {failed} from helpers {','.join(str(h) for h in helpers)} -> {out}")
+        kernel_rows = p.alpha if transfer is None else p.d + p.alpha
+        for s0, chunk in _stream_rows(sources, rows, p, stripes, rows_out=kernel_rows):
+            _write_rows(fd, repair_stripes(code, failed, helpers, chunk), stripes, s0, p.field)
+    print(
+        f"rebuilt node {failed} from helpers {','.join(str(h) for h in helpers)} -> {out}; per stripe: "
+        f"read {p.d * len(rows)} symbols ({len(rows)} of {p.alpha} rows per helper), sent {p.d}, "
+        f"naive rebuild reads {p.k * p.alpha}"
+    )
     return 0
 
 
@@ -514,7 +526,7 @@ def cmd_decode(args) -> int:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
         _refuse_overwriting(args.out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(args.out))
-        for s0, rows in _stream_rows(sources, p, stripes, rows_out=program.rows):  # each a kernel row
+        for s0, rows in _stream_rows(sources, range(p.alpha), p, stripes, rows_out=program.rows):  # each a kernel row
             message = decode_stripes(code, ids, rows)
             if message.max(initial=0) > 255:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")

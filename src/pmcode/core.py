@@ -590,21 +590,32 @@ class LinearCode:
                 raise Singular(f"nodes {list(ids)} do not determine the message") from exc
         return self._matrices[key]
 
-    def repair_matrices(self, failed: int, helpers: Sequence[int]) -> tuple[Matrix, Matrix]:
-        """(d x d*alpha transfer, alpha x d rebuild) matrices, computed once per helper list.
+    def repair_matrices(self, failed: int, helpers: Sequence[int]) -> tuple[tuple, Matrix | None, Matrix]:
+        """(selected rows, transfer, rebuild) of one repair, computed once per helper list.
 
-        Row h of the transfer matrix dots helper h's alpha stored rows with
-        the repair vector: the one symbol per stripe that helper sends.
+        The selected rows S are the positions where ``repair_vector(failed)``
+        is nonzero: the only stored rows a helper's symbol depends on, and so
+        the only ones a helper reads.  Row h of the d x d*|S| transfer matrix
+        dots helper h's selected rows with their coefficients: the one symbol
+        per stripe that helper sends.  The transfer is None when each helper
+        sends its one selected row as it is (a unit repair vector, as the
+        first alpha nodes of a repair-by-transfer code have).  The alpha x d
+        rebuild matrix (``repair_matrix``) takes the d symbols to the failed
+        node's alpha rows.
         """
         key = ("repair", failed, tuple(helpers))
         if key not in self._matrices:
             self.check_repair_args(failed, helpers)
             p = self.params
             vec = self.repair_vector(failed)
-            transfer = Matrix.zeros(p.field, p.d, p.d * p.alpha)
-            for h in range(p.d):
-                transfer.data[h][h * p.alpha : (h + 1) * p.alpha] = vec
-            self._matrices[key] = (transfer, self.repair_matrix(failed, helpers))
+            rows = tuple(j for j, c in enumerate(vec) if c)
+            coefficients = [vec[j] for j in rows]
+            transfer = None
+            if coefficients != [1]:
+                transfer = Matrix.zeros(p.field, p.d, p.d * len(rows))
+                for h in range(p.d):
+                    transfer.data[h][h * len(rows) : (h + 1) * len(rows)] = coefficients
+            self._matrices[key] = (rows, transfer, self.repair_matrix(failed, helpers))
         return self._matrices[key]
 
 

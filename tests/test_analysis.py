@@ -280,7 +280,9 @@ def test_17_8_15_gf256_stripes_match_the_packet_oracle(monkeypatch, build):
 
     failed = 12  # a parity node
     helpers = [i for i in range(p.n) if i not in (failed, 3)]
-    assert np.array_equal(repair_stripes(code, failed, helpers, node_rows(helpers)), node_rows([failed]))
+    selected, _, _ = code.repair_matrices(failed, helpers)
+    sent = np.vstack([node_rows([h])[list(selected)] for h in helpers])
+    assert np.array_equal(repair_stripes(code, failed, helpers, sent), node_rows([failed]))
     ids = [1, 3, 5, 9, 11, 13, 15, 16]  # a degraded decode: four parity nodes
     assert np.array_equal(decode_stripes(code, ids, node_rows(ids)), data)
 
@@ -412,6 +414,18 @@ def test_benchmark_pair_sparse_beats_dense():
     assert predicted > 1.5
     assert measured > 1.0
     assert rs.seconds_median < rd.seconds_median
+
+
+def test_benchmark_pair_alternates_its_reps(monkeypatch):
+    # a drift in CPU speed during the run then moves both medians alike
+    sparse = build_sparse_systematic(8, 4, 6, field=field_of_order(256))
+    dense = build_vanilla_systematic(8, 4, 6, field=field_of_order(256))
+    order = []
+    real = analysis.encode_stripes
+    monkeypatch.setattr(analysis, "encode_stripes", lambda code, *a: order.append(code) or real(code, *a))
+    rs, rd, _, _ = benchmark_pair(sparse, dense, workload_mib=0.01, reps=3, seed=2)
+    assert order == [sparse, dense] * 4  # one warmup each, then the reps in turn
+    assert (rs.reps, rd.reps, rs.stripes) == (3, 3, rd.stripes)
 
 
 def test_predicted_speedup_counts_parity_rows_only():

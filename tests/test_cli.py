@@ -521,3 +521,22 @@ def test_output_naming_an_input_is_refused(tmp_path, capsys, command, target):
     assert "is one of this command's inputs" in capsys.readouterr().err
     assert [desc_path, *sorted(shards.iterdir())] == files  # no temporary file is left
     assert [p.read_bytes() for p in files] == before
+
+
+@pytest.mark.parametrize("target", ["data", "descriptor"])
+def test_encode_refuses_to_overwrite_its_input(tmp_path, capsys, target):
+    desc_path, shards = _cycle(
+        tmp_path, ("--n", 8, "--k", 4, "--d", 6, "--gf256"), bytes(range(256)) * 40
+    )
+    data, desc = tmp_path / "data.bin", desc_path
+    if target == "data":
+        data = shards / shard_name(0)
+    else:
+        desc = shards / shard_name(3)
+        desc.write_bytes(desc_path.read_bytes())
+    files = [desc_path, *sorted(shards.iterdir())]
+    before = [p.read_bytes() for p in files]
+    assert run("encode", "--descriptor", desc, "--data", data, "--out-dir", shards) == 2
+    assert "is one of this command's inputs" in capsys.readouterr().err
+    assert [desc_path, *sorted(shards.iterdir())] == files  # no temporary file is left
+    assert [p.read_bytes() for p in files] == before

@@ -91,7 +91,8 @@ def test_bulk_methods_match_per_stripe_paths(q):
         return rows[i * p.alpha : (i + 1) * p.alpha]
 
     failed, helpers = 6, [0, 2, 3, 4, 5, 7]
-    rebuilt = repair_stripes(code, failed, helpers, np.vstack([node_rows(h) for h in helpers]))
+    selected, _, _ = code.repair_matrices(failed, helpers)
+    rebuilt = repair_stripes(code, failed, helpers, np.vstack([node_rows(h)[list(selected)] for h in helpers]))
     assert np.array_equal(rebuilt, node_rows(failed))
     rebuilt = symbols(p.field, rebuilt)
     for s, m in enumerate(columns):
@@ -112,7 +113,7 @@ def test_bulk_matrices_are_built_once_per_node_set(monkeypatch):
     calls = []
     real = type(code).repair_matrix
     monkeypatch.setattr(type(code), "repair_matrix", lambda self, f, h: calls.append(f) or real(self, f, h))
-    rows = random_stripes(p.field, p.d * p.alpha, 5, seed=1)
+    rows = random_stripes(p.field, p.d, 5, seed=1)  # node 0 repairs by transfer: one row per helper
     for _ in range(3):
         repair_stripes(code, 0, [1, 2, 3, 4, 5, 6], rows)
     assert calls == [0]
