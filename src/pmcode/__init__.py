@@ -86,7 +86,6 @@ _ANALYSIS_NAMES = frozenset({
     "BenchResult",
     "CertificationRecord",
     "SparsityReport",
-    "benchmark_encode",
     "benchmark_pair",
     "certify",
     "decode_stripes",
@@ -138,7 +137,6 @@ __all__ = [
     "Singular",
     "SparsityReport",
     "ZeroInverse",
-    "benchmark_encode",
     "benchmark_pair",
     "build_params",
     "build_rbt_systematic",

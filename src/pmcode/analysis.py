@@ -553,27 +553,36 @@ def predicted_speedup(sparse: LinearCode, dense: LinearCode) -> float:
     return parity_nonzeros(dense) / parity_nonzeros(sparse)
 
 
-def _benchmark(codes, workload_mib: float, reps: int, seed: int, skip_zeros: bool = True) -> list:
-    """Median-of-reps single-threaded encode timings of ``codes``, of one B and field.
+def benchmark_pair(
+    sparse: LinearCode,
+    dense: LinearCode,
+    workload_mib: float = 64.0,
+    reps: int = 5,
+    seed: int = 0,
+) -> tuple[BenchResult, BenchResult, float, float]:
+    """Benchmark a sparse code against its dense counterpart, of the same B and field.
 
-    They encode one seeded workload: at least ``workload_mib`` of message
-    data, padded up to whole stripes.  After one untimed warmup of each,
-    the reps go round the codes in turn, so that a drift in CPU speed during
-    the run moves every median alike.
+    Both encode one seeded workload, single-threaded: at least
+    ``workload_mib`` of file bytes at one byte per message symbol, as
+    ``pmcode encode`` carries them, padded up to whole stripes.  After one
+    untimed warmup of each, the reps alternate, sparse then dense, so that a
+    drift in CPU speed during the run moves both medians alike.  Returns
+    (sparse result, dense result, measured speedup, predicted speedup); the
+    prediction is the parity nonzero-count ratio.
     """
-    p = codes[0].params
-    stripe_bytes = p.B * SHARD_DTYPE[shard_layout(p.field)["kind"]].itemsize
-    stripes = max(1, math.ceil(workload_mib * (1 << 20) / stripe_bytes))
+    p = sparse.params
+    stripes = max(1, math.ceil(workload_mib * (1 << 20) / p.B))
     data = random_stripes(p.field, p.B, stripes, seed)
+    codes = (sparse, dense)
     for code in codes:
-        encode_stripes(code, data, skip_zeros)  # warmup
-    times = [[] for _ in codes]
+        encode_stripes(code, data)  # warmup
+    times = ([], [])
     for _ in range(reps):
         for code, ts in zip(codes, times):
             t0 = time.perf_counter()
-            encode_stripes(code, data, skip_zeros)
+            encode_stripes(code, data)
             ts.append(time.perf_counter() - t0)
-    message_bytes = stripes * stripe_bytes
+    message_bytes = stripes * p.B
     results = []
     for code, ts in zip(codes, times):
         med = statistics.median(ts)
@@ -592,37 +601,5 @@ def _benchmark(codes, workload_mib: float, reps: int, seed: int, skip_zeros: boo
             generator_nonzeros=sum(code.generator.nonzeros_per_row()),
             parity_nonzeros=parity_nonzeros(code),
         ))
-    return results
-
-
-def benchmark_encode(
-    code: LinearCode,
-    workload_mib: float = 64.0,
-    reps: int = 5,
-    seed: int = 0,
-    skip_zeros: bool = True,
-) -> BenchResult:
-    """Median-of-reps single-threaded encode timing on a seeded workload.
-
-    The workload is at least ``workload_mib`` of message data, padded up to
-    whole stripes.  One warmup pass runs untimed.
-    """
-    return _benchmark([code], workload_mib, reps, seed, skip_zeros)[0]
-
-
-def benchmark_pair(
-    sparse: LinearCode,
-    dense: LinearCode,
-    workload_mib: float = 64.0,
-    reps: int = 5,
-    seed: int = 0,
-) -> tuple[BenchResult, BenchResult, float, float]:
-    """Benchmark a sparse code against its dense counterpart, of the same B and field.
-
-    The reps alternate, sparse then dense (``_benchmark``).  Returns (sparse
-    result, dense result, measured speedup, predicted speedup); the
-    prediction is the parity nonzero-count ratio.
-    """
-    rs, rd = _benchmark([sparse, dense], workload_mib, reps, seed)
-    measured = rd.seconds_median / rs.seconds_median
-    return rs, rd, measured, predicted_speedup(sparse, dense)
+    rs, rd = results
+    return rs, rd, rd.seconds_median / rs.seconds_median, predicted_speedup(sparse, dense)

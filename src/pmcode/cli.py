@@ -153,7 +153,8 @@ def generation_artifacts(code) -> dict[str, str]:
     }
 
 
-def descriptor_for(code, construction: str) -> dict:
+def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
+    """The descriptor of ``code``, hashing its ``generation_artifacts``."""
     p = code.params
     enc = underlying_encoding(code)
     desc = {
@@ -168,7 +169,7 @@ def descriptor_for(code, construction: str) -> dict:
         "parent": None,
         "hashes": {
             name: hashlib.sha256(text.encode()).hexdigest()
-            for name, text in generation_artifacts(code).items()
+            for name, text in artifacts.items()
         },
     }
     if isinstance(code, ShortenedCode):
@@ -432,7 +433,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = generation_artifacts(code)
-    desc = descriptor_for(code, args.construction)
+    desc = descriptor_for(code, args.construction, artifacts)
     files = {name: text.encode() for name, text in artifacts.items()}
     files["descriptor.json"] = descriptor_bytes(desc)
     for name, raw in files.items():

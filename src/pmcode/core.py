@@ -512,11 +512,7 @@ class LinearCode:
         vec = self.repair_vector(failed)
         if len(stored_row) != len(vec):
             raise LengthMismatch(f"stored row has {len(stored_row)} symbols, expected {len(vec)}")
-        f = self.params.field
-        acc = 0
-        for x, y in zip(stored_row, vec):
-            acc = f.add(acc, f.mul(x, y))
-        return acc
+        return Matrix(self.params.field, [vec]).mul_vector(list(stored_row))[0]
 
     def repair(self, failed: int, helpers: Sequence[int], symbols: Sequence[int]) -> list[int]:
         """Rebuild the failed node's alpha symbols from d transferred scalars."""

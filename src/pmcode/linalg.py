@@ -1,8 +1,12 @@
 """Exact matrices over the finite fields in :mod:`pmcode.field`.
 
 A :class:`Matrix` stores its entries row-major as plain ints.  All operations
-are exact; the arithmetic kernels are specialized per field family so the hot
-loops stay in simple int operations (mod-p or log/antilog lookups).
+are exact.  Both products, ``Matrix @`` and ``Program @``, run one row
+routine per field family, which skips zero coefficients: ``_rows_prime``
+sums int lists and reduces each row once, and ``_rows_gf256`` scales bytes
+rows with ``bytes.translate`` and sums them by int XOR.  ``mul_vector`` is
+the one matrix-vector path; elimination (``inverse``, ``rank``) has its own
+kernel per field family.
 """
 
 from __future__ import annotations
@@ -110,9 +114,6 @@ class Matrix:
             and other.data == self.data
         )
 
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
@@ -134,11 +135,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        if self.field.kind == "prime":
-            out = _matmul_prime(self.data, other.data, self.field.q)
-        else:
-            out = _matmul_gf256(self.data, other.data, self.field)
-        return Matrix(self.field, out)
+        return _run(self, other)
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
         """Matrix-vector product, returned as a plain list."""
@@ -272,31 +269,7 @@ class Program:
             raise FieldMismatch("program and matrix live in different fields")
         if other.rows != self.inputs:
             raise DimensionMismatch(f"program reads {self.inputs} rows, got {other.rows}")
-        field, width = self.field, other.cols
-        if field.kind == "prime":
-            q = field.q
-            pool = [list(r) for r in other.data]
-
-            def combine(row):
-                acc = [0] * width
-                for c, x in zip(row, pool):
-                    if c:
-                        acc = [a + c * b for a, b in zip(acc, x)]
-                return [a % q for a in acc]
-        else:  # rows as bytes, as in _matmul_gf256
-            tables = field.product_tables
-            pool = [bytes(r) for r in other.data]
-
-            def combine(row):
-                acc = 0
-                for c, x in zip(row, pool):
-                    if c:
-                        acc ^= int.from_bytes(x if c == 1 else x.translate(tables[c]), "big")
-                return acc.to_bytes(width, "big")
-
-        for row in self.data:
-            pool.append(combine(row))
-        return Matrix(field, [list(pool[self.inputs + r]) for r in self.outputs])
+        return _run(self, other)
 
 
 @lru_cache(maxsize=4)
@@ -419,28 +392,45 @@ def elimination_program(a: Matrix) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# elimination kernels
+# kernels
 # ---------------------------------------------------------------------------
 
-def _matmul_prime(a, b, q):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % q for col in bt] for row in a]
+def _run(program: Matrix | Program, other: Matrix) -> Matrix:
+    """``program``'s outputs over the rows of ``other``; a Matrix is a program
+    whose rows read only inputs, and ``zip`` stops each row at its width."""
+    field = other.field
+    if field.kind == "prime":
+        pool = _rows_prime(program.data, other.data, field.q)
+    else:
+        pool = _rows_gf256(program.data, other.data, field.product_tables)
+    return Matrix(field, [pool[program.inputs + r] for r in program.outputs])
 
 
-def _matmul_gf256(a, b, field):
-    # out row = XOR over x = a[i][j] != 0 of b's row j scaled by x; a scaled
-    # row is one bytes.translate, and the XOR runs on the rows read as ints
-    tables = field.product_tables
-    width = len(b[0])
-    brows = [bytes(row) for row in b]
-    out = []
-    for row in a:
+def _rows_prime(coeffs, rows, q) -> list:
+    """``rows`` followed by each coefficient row's combination of the rows
+    before it: int lists summed over the nonzero terms and reduced once."""
+    pool = list(rows)
+    for row in coeffs:
+        acc = [0] * len(rows[0])
+        for c, x in zip(row, pool):
+            if c:
+                acc = [a + c * b for a, b in zip(acc, x)]
+        pool.append([a % q for a in acc])
+    return pool
+
+
+def _rows_gf256(coeffs, rows, tables) -> list:
+    """As ``_rows_prime`` over GF(2^8): rows as bytes, a term scaled by one
+    ``bytes.translate`` and the terms summed by XOR of the rows read as ints."""
+    width = len(rows[0])
+    pool = [bytes(r) for r in rows]
+    for row in coeffs:
         acc = 0
-        for x, brow in zip(row, brows):
-            if x:
-                acc ^= int.from_bytes(brow if x == 1 else brow.translate(tables[x]), "big")
-        out.append(list(acc.to_bytes(width, "big")))
-    return out
+        for c, x in zip(row, pool):
+            if c:
+                acc ^= int.from_bytes(x if c == 1 else x.translate(tables[c]), "big")
+        pool.append(acc.to_bytes(width, "big"))
+    return pool
 
 
 def _eliminate(rows, field, reduce: bool, limit_cols: int | None = None) -> int:
@@ -487,7 +477,7 @@ def _eliminate_prime(rows, q, reduce, limit_cols):
 
 
 def _eliminate_gf256(rows, field, reduce, limit_cols):
-    # rows are worked on as bytes, as in _matmul_gf256: scaling a row is one
+    # rows are worked on as bytes, as in _rows_gf256: scaling a row is one
     # bytes.translate, and a row update an XOR of two rows read as ints
     tables = field.product_tables
     width = len(rows[0])

@@ -10,7 +10,6 @@ from pmcode import analysis, cli
 from pmcode.analysis import (
     BenchResult,
     apply_rows_bulk,
-    benchmark_encode,
     benchmark_pair,
     certify,
     decode_stripes,
@@ -387,20 +386,6 @@ def test_random_stripes_deterministic_and_in_range():
     assert g.dtype == np.uint8
 
 
-def test_benchmark_encode_smoke():
-    field = field_of_order(256)
-    code = build_sparse_systematic(8, 4, 6, field=field)
-    res = benchmark_encode(code, workload_mib=0.25, reps=3, seed=1)
-    assert isinstance(res, BenchResult)
-    assert res.message_bytes >= 0.25 * (1 << 20)
-    assert res.stripes == res.message_bytes // code.params.B
-    assert len(res.seconds_all) == 3
-    assert res.throughput_mib_s > 0
-    assert res.parity_nonzeros == parity_nonzeros(code)
-    assert "throughput_mib_s:" in res.to_text()
-    assert res.to_tsv_row().count("\t") >= 5
-
-
 def test_benchmark_pair_sparse_beats_dense():
     field = field_of_order(256)
     sparse = build_sparse_systematic(8, 4, 6, field=field)
@@ -426,6 +411,26 @@ def test_benchmark_pair_alternates_its_reps(monkeypatch):
     rs, rd, _, _ = benchmark_pair(sparse, dense, workload_mib=0.01, reps=3, seed=2)
     assert order == [sparse, dense] * 4  # one warmup each, then the reps in turn
     assert (rs.reps, rd.reps, rs.stripes) == (3, 3, rd.stripes)
+    for res, code in ((rs, sparse), (rd, dense)):
+        assert isinstance(res, BenchResult)
+        assert res.message_bytes >= 0.01 * (1 << 20)
+        assert res.stripes * code.params.B == res.message_bytes
+        assert len(res.seconds_all) == 3
+        assert res.throughput_mib_s > 0
+        assert res.parity_nonzeros == parity_nonzeros(code)
+        assert "throughput_mib_s:" in res.to_text()
+        assert res.to_tsv_row().count("\t") >= 5
+
+
+def test_benchmark_pair_counts_one_byte_per_prime_symbol():
+    # --mib is the size of the file the stripes would encode, whatever the field
+    field = field_of_order(257)
+    sparse = build_sparse_systematic(12, 6, 10, field=field)
+    dense = build_vanilla_systematic(12, 6, 10, field=field)
+    rs, rd, _, _ = benchmark_pair(sparse, dense, workload_mib=0.01, reps=1, seed=2)
+    B = sparse.params.B
+    assert rs.stripes == rd.stripes == math.ceil(0.01 * (1 << 20) / B)
+    assert rs.message_bytes == rd.message_bytes == rs.stripes * B
 
 
 def test_predicted_speedup_counts_parity_rows_only():

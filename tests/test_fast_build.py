@@ -10,7 +10,7 @@ same matrices and a passing exhaustive report.
 import pytest
 
 from pmcode.analysis import certify
-from pmcode.cli import code_from_descriptor, descriptor_for
+from pmcode.cli import code_from_descriptor, descriptor_for, generation_artifacts
 from pmcode.construct import build_sparse_systematic, choose_prime_encoding, sparsify_encoding
 from pmcode.core import build_params, build_vandermonde_encoding, validate_properties
 from pmcode.errors import DuplicateEvaluationPoint, PropertyViolation
@@ -154,7 +154,7 @@ def test_sparsify_checks_nothing(rank_calls):
 
 def test_paper_code_rebuilds_without_rank_calls(rank_calls):
     code = build_sparse_systematic(17, 8, 15, field=GF256)
-    desc = descriptor_for(code, "sparse")
+    desc = descriptor_for(code, "sparse", generation_artifacts(code))
     rank_calls.clear()
     rebuilt = code_from_descriptor(desc)
     assert rank_calls == []

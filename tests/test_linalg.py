@@ -189,6 +189,12 @@ def test_from_columns():
     assert c.data == [[1, 3], [2, 4]]
 
 
+def test_matrix_is_unhashable():
+    # a hash of mutable entries would lose a matrix from its own set once edited
+    with pytest.raises(TypeError):
+        hash(Matrix(F11, [[1, 2], [3, 4]]))
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(DimensionMismatch):
         Matrix(F11, [[1, 2], [3]])
