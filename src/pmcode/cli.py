@@ -195,7 +195,7 @@ def _check_descriptor(desc) -> None:
         if type(desc[key]) is not kind:
             raise CliError(f"descriptor {key!r} must be a JSON {kind.__name__}, got {desc[key]!r}")
     fd = desc["field"]
-    number = _FIELD_NUMBER.get(fd.get("kind"))
+    number = _FIELD_NUMBER.get(fd.get("kind")) if type(fd.get("kind")) is str else None
     if number is None:
         raise CliError(f"unknown field kind {fd.get('kind')!r}")
     if type(fd.get(number)) is not int:

@@ -5,8 +5,8 @@ are exact.  Both products, ``Matrix @`` and ``Program @``, run one row
 routine per field family, which skips zero coefficients: ``_rows_prime``
 sums int lists and reduces each row once, and ``_rows_gf256`` scales bytes
 rows with ``bytes.translate`` and sums them by int XOR.  ``mul_vector`` is
-the one matrix-vector path; elimination (``inverse``, ``rank``) has its own
-kernel per field family.
+the one matrix-vector path.  Elimination (``inverse``, ``rank``) is one
+Gauss-Jordan pivot loop over each family's row form and row operations.
 """
 
 from __future__ import annotations
@@ -161,14 +161,13 @@ class Matrix:
         aug = [list(row) + [0] * n for row in self.data]
         for i in range(n):
             aug[i][n + i] = 1
-        pivots = _eliminate(aug, self.field, reduce=True, limit_cols=n)
+        pivots, rows = _eliminate(aug, self.field, n, reduce=True)
         if pivots < n:
             raise Singular("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in aug])
+        return Matrix(self.field, [row[n:] for row in rows])
 
     def rank(self) -> int:
-        work = [list(row) for row in self.data]
-        return _eliminate(work, self.field, reduce=False)
+        return _eliminate(self.data, self.field, self.cols, reduce=False)[0]
 
     def nonzeros_per_row(self) -> list[int]:
         return [sum(1 for x in row if x) for row in self.data]
@@ -433,79 +432,57 @@ def _rows_gf256(coeffs, rows, tables) -> list:
     return pool
 
 
-def _eliminate(rows, field, reduce: bool, limit_cols: int | None = None) -> int:
-    """In-place row echelon elimination; returns the number of pivots.
+def _eliminate(rows, field, cols: int, reduce: bool) -> tuple[int, list]:
+    """Gauss-Jordan elimination of a copy of ``rows`` over their first ``cols``
+    columns; returns the number of pivots and the rows in working form.
 
-    With ``reduce`` the result is fully reduced (unit pivots, zeros above),
-    which is what the inverse routine needs.
+    Each pivot is scaled to 1 and cleared below, and with ``reduce`` above
+    too.  ``_row_ops`` gives the field's row form and row operations.
     """
-    if limit_cols is None:
-        limit_cols = len(rows[0])
-    if field.kind == "prime":
-        return _eliminate_prime(rows, field.q, reduce, limit_cols)
-    return _eliminate_gf256(rows, field, reduce, limit_cols)
-
-
-def _eliminate_prime(rows, q, reduce, limit_cols):
-    nrows = len(rows)
-    rank = 0
-    for col in range(limit_cols):
-        if rank == nrows:
-            break
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col] % q:
-                piv = i
+    form, scale, clear = _row_ops(field)
+    work = [form(r) for r in rows]
+    nrows, rank = len(work), 0
+    for col in range(cols):
+        for piv in range(rank, nrows):
+            if work[piv][col]:
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pinv = pow(prow[col], q - 2, q)
-        if pinv != 1:
-            prow[:] = [(x * pinv) % q for x in prow]
-        span = range(nrows) if reduce else range(rank + 1, nrows)
-        for i in span:
-            if i == rank:
-                continue
-            f = rows[i][col] % q
-            if f:
-                ri = rows[i]
-                ri[:] = [(x - f * y) % q for x, y in zip(ri, prow)]
-        rank += 1
-    return rank
-
-
-def _eliminate_gf256(rows, field, reduce, limit_cols):
-    # rows are worked on as bytes, as in _rows_gf256: scaling a row is one
-    # bytes.translate, and a row update an XOR of two rows read as ints
-    tables = field.product_tables
-    width = len(rows[0])
-    work = [bytes(r) for r in rows]
-    nrows = len(work)
-    rank = 0
-    for col in range(limit_cols):
-        if rank == nrows:
-            break
-        piv = None
-        for i in range(rank, nrows):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
+        else:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        if prow[col] != 1:
-            prow = work[rank] = prow.translate(tables[field.inv(prow[col])])
-        span = range(nrows) if reduce else range(rank + 1, nrows)
-        for i in span:
-            if i == rank:
-                continue
-            f = work[i][col]
-            if f:
-                acc = int.from_bytes(work[i], "big") ^ int.from_bytes(prow.translate(tables[f]), "big")
-                work[i] = acc.to_bytes(width, "big")
+        c = field.inv(work[rank][col])
+        if c != 1:
+            work[rank] = scale(work[rank], c)
+        # below the pivot, rows before piv are zero in col
+        clear(work, rank, col, range(nrows) if reduce else range(piv + 1, nrows))
         rank += 1
-    rows[:] = [list(r) for r in work]
-    return rank
+    return rank, work
+
+
+def _row_ops(field) -> tuple:
+    """A row's working form, ``scale(row, c)`` and ``clear(work, rank, col, span)``,
+    which takes from each other row in ``span`` its entry in ``col`` times the
+    pivot row ``work[rank]``; one call per pivot.  A prime-field row is an int
+    list reduced mod q, and a GF(2^8) row bytes, as in ``_rows_gf256``.
+    """
+    if field.kind == "prime":
+        q = field.q
+
+        def clear(work, rank, col, span):
+            prow = work[rank]
+            for i in span:
+                f = work[i][col]
+                if f and i != rank:
+                    work[i] = [(x - f * y) % q for x, y in zip(work[i], prow)]
+
+        return (lambda row: [x % q for x in row]), (lambda row, c: [x * c % q for x in row]), clear
+    tables = field.product_tables
+
+    def clear(work, rank, col, span):
+        prow = work[rank]
+        for i in span:
+            f = work[i][col]
+            if f and i != rank:
+                acc = int.from_bytes(work[i], "big") ^ int.from_bytes(prow.translate(tables[f]), "big")
+                work[i] = acc.to_bytes(len(prow), "big")
+
+    return bytes, (lambda row, c: row.translate(tables[c])), clear

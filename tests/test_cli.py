@@ -327,6 +327,31 @@ def test_malformed_descriptor_is_a_cli_error(tmp_path, capsys, mutate, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_field_kind_that_is_not_a_string_is_a_cli_error(tmp_path, capsys, kind):
+    out = gen_dir(tmp_path, "g", "--n", 8, "--k", 4, "--d", 6, "--q", 257)
+    path = out / "descriptor.json"
+    desc = json.loads(path.read_text())
+    desc["field"]["kind"] = kind
+    path.write_text(json.dumps(desc))
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    capsys.readouterr()
+    shards, target = tmp_path / "shards", tmp_path / "o.bin"
+    commands = [
+        ("encode", "--data", data, "--out-dir", shards),
+        ("repair", "--shard-dir", shards, "--failed", 0, "--out", target),
+        ("decode", "--shard-dir", shards, "--out", target),
+        ("certify",),  # exit 1 from certify would mean "a check failed"
+        ("analyze",),
+    ]
+    for name, *rest in commands:
+        assert run(name, "--descriptor", path, *rest) == 2, name
+        captured = capsys.readouterr()
+        assert "unknown field kind" in captured.err and not captured.out, name
+        assert not shards.exists() and not target.exists(), name
+
+
 @pytest.mark.parametrize(
     "raw",
     [b"\xff\xff\xff{", b"[" * 100_000],

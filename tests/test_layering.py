@@ -1,8 +1,11 @@
-"""The package's layers, read from its source: who imports numpy and ``pmcode.analysis``.
+"""The package's layers, read from its source: who imports numpy and ``pmcode.analysis``,
+and which modules each module may import.
 
 The exact-math modules (``core`` and the rest) stay pure Python; the numpy
 bulk path is ``analysis``, which only the command line and the lazy-name
-hook (``__getattr__``) of ``__init__`` load.  Imports inside functions count.
+hook (``__getattr__``) of ``__init__`` load.  Each module imports only the
+modules below it in ``LAYERS``; ``__init__`` is exempt.  Imports inside
+functions count.
 """
 
 import ast
@@ -51,3 +54,19 @@ def users_of(module: str) -> set[str]:
 def test_only_analysis_and_cli_import_numpy_and_only_cli_and_the_hook_import_analysis():
     assert users_of("numpy") == {"analysis.py", "cli.py"}
     assert users_of("pmcode.analysis") == {"cli.py", "__init__.py:__getattr__"}
+
+
+# bottom to top: each module imports only the modules before it
+LAYERS = ("errors", "field", "linalg", "core", "systematic", "construct", "analysis", "cli")
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert modules == sorted(LAYERS), "place a new module in LAYERS"
+    upward = set()
+    for layer, module in enumerate(LAYERS):
+        for name, func in imports(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            parts = name.split(".")
+            if parts[0] == "pmcode" and len(parts) > 1 and parts[1] not in LAYERS[:layer]:
+                upward.add(f"{module}.py:{func} imports pmcode.{parts[1]}")
+    assert upward == set()

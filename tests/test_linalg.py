@@ -1,6 +1,9 @@
 """Linear algebra tests against independently written schoolbook oracles."""
 
+import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -11,7 +14,7 @@ from pmcode.errors import (
     IndexOutOfRange,
     Singular,
 )
-from pmcode.field import field_of_order
+from pmcode.field import field_of_order, gf256_mul_bitwise
 from pmcode.linalg import Matrix, matrix_from_text, vandermonde
 
 from golden_vectors import PSI
@@ -128,10 +131,108 @@ def test_rank_examples():
 
 
 def test_rank_does_not_mutate():
-    a = Matrix(F11, [[1, 2], [3, 4]])
-    before = [list(r) for r in a.data]
-    a.rank()
-    assert a.data == before
+    # an unreduced prime entry, a GF(2^8) matrix and a singular one; inverse too
+    cases = ([[1, 2], [3, 15]], F11), ([[7, 2], [3, 200]], GF256), ([[1, 2], [1, 2]], GF256)
+    for a in (Matrix(field, data) for data, field in cases):
+        before = [list(r) for r in a.data]
+        a.rank()
+        try:
+            a.inverse()
+        except Singular:
+            pass
+        assert a.data == before
+
+
+def row_space_size(field, a) -> int:
+    """Oracle: the number of distinct combinations of ``a``'s rows, enumerated."""
+    space = set()
+    for coeffs in itertools.product(range(field.order), repeat=a.rows):
+        vec = [0] * a.cols
+        for c, row in zip(coeffs, a.data):
+            vec = [field.add(v, field.mul(c, x)) for v, x in zip(vec, row)]
+        space.add(tuple(vec))
+    return len(space)
+
+
+def check_inverse(field, a, rank):
+    """An inverse exists exactly when ``a`` is square and of full rank."""
+    if a.rows != a.cols:
+        with pytest.raises(DimensionMismatch):
+            a.inverse()
+    elif rank < a.rows:
+        with pytest.raises(Singular):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        eye = Matrix.identity(field, a.rows)
+        assert schoolbook_matmul(field, a, inv) == eye == schoolbook_matmul(field, inv, a)
+
+
+@pytest.mark.parametrize("q, rows, cols", [(3, 2, 2), (2, 2, 3), (2, 3, 3)], ids=["F3-2x2", "F2-2x3", "F2-3x3"])
+def test_rank_and_inverse_of_every_small_matrix_match_their_definitions(q, rows, cols):
+    field = field_of_order(q)
+    for entries in itertools.product(range(q), repeat=rows * cols):
+        a = Matrix(field, [entries[i * cols : (i + 1) * cols] for i in range(rows)])
+        size, rank = row_space_size(field, a), 0
+        while q**rank < size:
+            rank += 1
+        assert q**rank == size  # the row space of a rank-r matrix has q^r vectors
+        assert a.rank() == rank, a.data
+        check_inverse(field, a, rank)
+
+
+def planted_gf256(rng, rows, cols, rank) -> Matrix:
+    """A rows x cols GF(2^8) matrix of the given rank, built with the bitwise product.
+
+    Basis row i is nonzero in column pivots[i] and zero in the columns of
+    the pivots before it, so the basis is independent; every other row is a
+    random combination of it, and the rows are shuffled.
+    """
+    pivots = rng.sample(range(cols), rank)
+    basis = []
+    for i in range(rank):
+        row = [rng.randrange(256) for _ in range(cols)]
+        for j in pivots[:i]:
+            row[j] = 0
+        row[pivots[i]] = rng.randrange(1, 256)
+        basis.append(row)
+    data = list(basis)
+    for _ in range(rows - rank):
+        coeffs = [rng.randrange(256) for _ in basis]
+        data.append([
+            reduce(xor, (gf256_mul_bitwise(c, row[j]) for c, row in zip(coeffs, basis)), 0)
+            for j in range(cols)
+        ])
+    rng.shuffle(data)
+    return Matrix(GF256, data)
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 8), (6, 9)])
+def test_gf256_rank_and_inverse_with_planted_dependent_rows(rows, cols):
+    rng = random.Random(rows * cols)
+    for rank in range(min(rows, cols) + 1):
+        for _ in range(3):
+            a = planted_gf256(rng, rows, cols, rank)
+            assert a.rank() == rank
+            check_inverse(GF256, a, rank)
+
+
+@pytest.mark.parametrize("field", [F11, F13], ids=["F11", "F13"])
+def test_prime_entries_at_or_above_q_act_as_their_reduction(field):
+    rng = random.Random(field.q)
+    for size in range(1, 7):
+        for singular in (False, True):
+            a = random_matrix(field, size, size, rng)
+            if singular:
+                a.data[-1] = [field.mul(3, x) for x in a.data[0]]
+            big = Matrix(field, [[x + field.q * rng.randrange(4) for x in row] for row in a.data])
+            assert big.rank() == a.rank()
+            if a.rank() == size:
+                assert big.inverse() == a.inverse()
+            else:
+                with pytest.raises(Singular):
+                    big.inverse()
+
 
 
 # ---------------------------------------------------------------------------
