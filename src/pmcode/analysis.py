@@ -10,15 +10,15 @@ bitmatrix over GF(2), and each 1 in it is one XOR of a ``PACKET``-byte
 packet.  Over prime fields a term is an int32 (int64 for large moduli)
 multiply-accumulate.  The same kernel backs ``encode_stripes``,
 ``repair_stripes`` and ``decode_stripes``, which apply a code's generator,
-``repair_matrices`` and ``decode_program``.  A repair takes only the helper
-rows its repair vector names, and when each helper sends one of them as it
-is, applies only the rebuild matrix.  A decode applies no inverse:
+``repair_program`` and ``decode_program``, one kernel call per batch.  A
+repair takes only the helper rows its repair vector names.  A decode
+applies no inverse:
 its program is a sparse elimination of the node rows (Markowitz's
 elimination form of the inverse), whose rows also read earlier rows, so it
 costs the nonzeros of the code's own rows after fill-in rather than those
 of their dense inverse.  The command-line encode, repair and decode paths
 call them on one chunk of ``chunk_stripes`` stripes at a time, and
-``SHARD_DTYPE`` gives the symbol type those chunks have on disk.
+``shard_dtype`` gives the symbol type those chunks have on disk.
 """
 
 from __future__ import annotations
@@ -284,8 +284,9 @@ def shard_layout(field) -> dict:
     return {"kind": "u32be"}
 
 
-# the numpy dtype of one stored symbol, by ``shard_layout`` kind
-SHARD_DTYPE = {"packets": np.dtype(np.uint8), "u32be": np.dtype(">u4")}
+def shard_dtype(field) -> np.dtype:
+    """The numpy dtype of one stored symbol in ``shard_layout(field)``."""
+    return np.dtype(np.uint8 if field.kind == "binary8" else ">u4")
 
 
 def _prime_dtype(q: int):
@@ -293,18 +294,18 @@ def _prime_dtype(q: int):
     return np.dtype(np.int32 if (q - 1) ** 2 + q < 1 << 31 else np.int64)
 
 
-def chunk_stripes(field, rows_in: int, rows_out: int) -> int:
-    """Stripes per streamed chunk: ``rows_in`` + ``rows_out`` kernel rows fit ``_CHUNK_BYTES``.
+def chunk_stripes(field, inputs: int, rows: int) -> int:
+    """Stripes per streamed chunk: ``inputs`` + ``rows`` kernel rows fit ``_CHUNK_BYTES``.
 
-    For a ``linalg.Program``, ``rows_out`` is all its rows, the outputs and
-    the rows they read.  Kernel rows are uint8 over GF(2^8), where a chunk
-    is a whole number of blocks and at least one, and ``_prime_dtype`` over
-    prime fields.
+    Those are a matrix's or ``linalg.Program``'s ``inputs`` and ``rows``,
+    all the rows it computes: its outputs and the rows they read.  Kernel
+    rows are uint8 over GF(2^8), where a chunk is a whole number of blocks
+    and at least one, and ``_prime_dtype`` over prime fields.
     """
     if field.kind == "binary8":
         block = 8 * PACKET
-        return block * max(1, _CHUNK_BYTES // (block * (rows_in + rows_out)))
-    return max(1, _CHUNK_BYTES // (_prime_dtype(field.q).itemsize * (rows_in + rows_out)))
+        return block * max(1, _CHUNK_BYTES // (block * (inputs + rows)))
+    return max(1, _CHUNK_BYTES // (_prime_dtype(field.q).itemsize * (inputs + rows)))
 
 
 @lru_cache(maxsize=16)
@@ -386,8 +387,8 @@ def apply_rows_bulk(field, mat: Matrix | Program, data: np.ndarray, skip_zeros: 
     """The outputs of ``mat`` on the stripes that are ``data``'s columns, stripe 0 first.
 
     ``mat`` is a matrix, whose result is mat @ data, or a straight-line
-    ``linalg.Program`` (``LinearCode.decode_program``), whose rows may also
-    read its earlier rows; every one of its rows is a kernel row, computed
+    ``linalg.Program`` (``LinearCode.repair_program``, ``decode_program``),
+    whose rows may also read its earlier rows; each row is a kernel row, computed
     in its output row when it is one.  Over a prime field each stripe is a
     column of symbols, and a program's rows are computed in order.  Over
     GF(2^8) the stripes are cut into blocks of 8 * ``PACKET`` from stripe
@@ -466,18 +467,10 @@ def encode_stripes(code: LinearCode, data: np.ndarray, skip_zeros: bool = True) 
 
 
 def repair_stripes(code: LinearCode, failed: int, helpers, rows: np.ndarray) -> np.ndarray:
-    """The failed node's (alpha x S) rows from the helpers' selected rows
-    (``LinearCode.repair_matrices``), stacked in helper order as a
-    (d*|S| x S) array.
-
-    The transfer matrix takes each stripe to the d symbols the helpers send,
-    one each; when there is none, the rows are those symbols.  The rebuild
-    matrix takes them to the failed node's alpha.
-    """
-    _, transfer, rebuild = code.repair_matrices(failed, helpers)
-    field = code.params.field
-    sent = rows if transfer is None else apply_rows_bulk(field, transfer, rows)
-    return apply_rows_bulk(field, rebuild, sent)
+    """The failed node's (alpha x S) rows from the helpers' selected rows,
+    stacked in helper order as a (d*|S| x S) array, through
+    ``LinearCode.repair_program``."""
+    return apply_rows_bulk(code.params.field, code.repair_program(failed, helpers)[1], rows)
 
 
 def decode_stripes(code: LinearCode, ids, rows: np.ndarray) -> np.ndarray:

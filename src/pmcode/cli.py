@@ -15,7 +15,7 @@ The descriptor (``descriptor.json``, format ``pmcode-descriptor-v2``) pins
 everything needed to rebuild the code deterministically: parameters, field,
 construction route, the evaluation points actually chosen, sha256 hashes
 of the generated matrix files, and the shard ``layout``
-(``analysis.shard_layout``; ``analysis.SHARD_DTYPE`` gives its symbol
+(``analysis.shard_layout``; ``analysis.shard_dtype`` gives its symbol
 type).  Older descriptors also carry a ``seed``, which is ignored.  A v1
 descriptor has no layout; its prime-field shards are read as they are, and
 a v1 GF(2^8) descriptor is refused, since its shards hold bytes rather than
@@ -36,7 +36,7 @@ read in place (``readinto`` on the input file, one ``preadv`` per segment of
 a shard row that the command reads, each byte once, after a header and
 file-size check) and each result is written at its offset with ``pwrite``.
 ``decode`` reads every row of its k shards; ``repair`` reads only the rows
-of each helper that the repair vector names (``LinearCode.repair_matrices``),
+of each helper that the repair vector names (``LinearCode.repair_program``),
 one row per helper for a node repaired by transfer, and prints the symbols
 per stripe it read and the helpers sent beside the k*alpha that a naive
 rebuild reads.  Every output goes to a temporary file beside it, which
@@ -68,13 +68,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .analysis import (
-    SHARD_DTYPE,
     benchmark_pair,
     certify,
     chunk_stripes,
     decode_stripes,
     encode_stripes,
     repair_stripes,
+    shard_dtype,
     shard_layout,
     sparsity_report,
     underlying_encoding,
@@ -296,7 +296,7 @@ def _read_header(fd: int, path, digest: bytes, field, alpha: int) -> tuple[int, 
     if got_digest != digest:
         raise CliError(f"{path}: shard belongs to a different descriptor")
     body = os.fstat(fd).st_size - _HEADER.size
-    expected = alpha * stripes * SHARD_DTYPE[shard_layout(field)["kind"]].itemsize
+    expected = alpha * stripes * shard_dtype(field).itemsize
     if body != expected:
         raise CliError(f"{path}: shard body is {body} bytes, expected {expected}")
     return node, stripes, payload_len
@@ -317,7 +317,7 @@ def _write_header(fd: int, digest: bytes, node: int, stripes: int, payload_len: 
 
 def _write_rows(fd: int, rows: np.ndarray, stripes: int, s0: int, field) -> None:
     """Store ``rows`` (alpha x w) as stripes s0..s0+w of each stored row."""
-    body = np.ascontiguousarray(rows, dtype=SHARD_DTYPE[shard_layout(field)["kind"]])  # copies only to convert
+    body = np.ascontiguousarray(rows, dtype=shard_dtype(field))  # copies only to convert
     for r in range(body.shape[0]):
         _pwrite_all(fd, memoryview(body[r].view(np.uint8)), _HEADER.size + (r * stripes + s0) * body.itemsize)
 
@@ -393,17 +393,16 @@ def _refuse_overwriting(out, descriptor, sources) -> None:
         raise CliError(f"{out} is one of this command's inputs; write the output elsewhere")
 
 
-def _stream_rows(sources, rows, params, stripes: int, rows_out: int):
+def _stream_rows(sources, rows, params, stripes: int, program):
     """Yield (s0, chunk): stripes s0..s0+w of the stored ``rows`` of every source, stacked in order.
 
-    Each chunk holds as many stripes as ``chunk_stripes`` allows for the
-    stacked rows plus ``rows_out`` result rows.  Each byte of a selected row
-    is read once, and no other row is read.
+    ``program`` reads the chunk, and each chunk holds as many stripes as
+    ``chunk_stripes`` allows for its inputs plus all its rows.  Each byte
+    of a selected row is read once, and no other row is read.
     """
-    width = chunk_stripes(params.field, len(sources) * len(rows), rows_out)
-    dtype = SHARD_DTYPE[shard_layout(params.field)["kind"]]
+    width = chunk_stripes(params.field, program.inputs, program.rows)
     for s0 in range(0, stripes, width):
-        chunk = np.empty((len(sources), len(rows), min(width, stripes - s0)), dtype=dtype)
+        chunk = np.empty((len(sources), len(rows), min(width, stripes - s0)), dtype=shard_dtype(params.field))
         for out, (path, fd) in zip(chunk, sources):
             _read_rows(fd, path, out, stripes, s0, params.field, rows)
         yield s0, chunk.reshape(-1, chunk.shape[2])
@@ -493,14 +492,13 @@ def cmd_repair(args) -> int:
     except (BadHelperCount, IndexOutOfRange) as exc:
         raise CliError(f"cannot repair node {failed}: {exc}") from exc
     out = Path(args.out or Path(args.shard_dir) / shard_name(failed))
-    rows, transfer, _ = code.repair_matrices(failed, helpers)
+    rows, program = code.repair_program(failed, helpers)
     with ExitStack() as stack:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, helpers, digest, p, "helper")
         _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
-        kernel_rows = p.alpha if transfer is None else p.d + p.alpha
-        for s0, chunk in _stream_rows(sources, rows, p, stripes, rows_out=kernel_rows):
+        for s0, chunk in _stream_rows(sources, rows, p, stripes, program):
             _write_rows(fd, repair_stripes(code, failed, helpers, chunk), stripes, s0, p.field)
     print(
         f"rebuilt node {failed} from helpers {','.join(str(h) for h in helpers)} -> {out}; per stripe: "
@@ -527,7 +525,7 @@ def cmd_decode(args) -> int:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
         _refuse_overwriting(args.out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(args.out))
-        for s0, rows in _stream_rows(sources, range(p.alpha), p, stripes, rows_out=program.rows):  # each a kernel row
+        for s0, rows in _stream_rows(sources, range(p.alpha), p, stripes, program):
             message = decode_stripes(code, ids, rows)
             if message.max(initial=0) > 255:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")

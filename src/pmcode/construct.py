@@ -28,6 +28,7 @@ from .core import (
     LinearCode,
     MessageMatrix,
     PmVandermondeCode,
+    _check_regime,
     build_params,
     build_vandermonde_encoding,
     encoding_from_phi_lambda,
@@ -193,6 +194,7 @@ def _base_encoding(n: int, k: int, d: int, field) -> EncodingMatrix:
 
 def build_vanilla_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
     """Systematic product-matrix code for any 2k-2 <= d <= n-1 (dense generator)."""
+    _check_regime(n, k, d)  # before a shortening parent is built
     i = d - 2 * k + 2
     if i == 0:
         enc = _base_encoding(n, k, d, field)
@@ -211,6 +213,7 @@ def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode 
     block gets i = d-2k+2 rows with at most k nonzeros and k-1 rows with at
     most d nonzeros.
     """
+    _check_regime(n, k, d)  # before a shortening parent is built
     i = d - 2 * k + 2
     if i == 0:
         enc = sparsify_encoding(_base_encoding(n, k, d, field))

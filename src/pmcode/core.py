@@ -13,11 +13,11 @@ base-regime parent (see :mod:`pmcode.construct`).
 
 Everything here is exact pure-Python arithmetic, and a code encodes,
 decodes and repairs one stripe at a time.  What the numpy bulk path in
-:mod:`pmcode.analysis` applies to many stripes at once is built here, once
-per node set: the generator, ``LinearCode.repair_matrices``, and
-``LinearCode.decode_program``, a sparse elimination of the stacked node
-rows (``linalg.elimination_program``).  ``LinearCode.decode_matrix``, their
-dense inverse, serves the per-stripe ``decode`` and ``certify``.
+:mod:`pmcode.analysis` applies to many stripes at once is built here: the
+generator, and once per node set one straight-line program per operation,
+or the matrix it computes when that costs the kernel no more:
+``LinearCode.repair_program`` and ``LinearCode.decode_program``, a sparse
+elimination of the node rows that the per-stripe ``decode`` also runs.
 """
 
 from __future__ import annotations
@@ -66,13 +66,18 @@ class CodeParams:
         return f"[{self.n},{self.k},{self.d}] q={self.field.order}"
 
 
-def build_params(n: int, k: int, d: int, field) -> CodeParams:
+def _check_regime(n: int, k: int, d: int) -> None:
+    """Raise InvalidRegime unless k >= 2 and 2k-2 <= d <= n-1."""
     if k < 2:
         raise InvalidRegime(f"k={k} must be at least 2")
     if d < 2 * k - 2:
         raise InvalidRegime(f"d={d} below 2k-2={2 * k - 2}")
     if d > n - 1:
         raise InvalidRegime(f"d={d} exceeds n-1={n - 1}")
+
+
+def build_params(n: int, k: int, d: int, field) -> CodeParams:
+    _check_regime(n, k, d)
     if field.order <= n:
         raise InvalidRegime(
             f"field of order {field.order} too small for n={n} distinct nonzero points"
@@ -439,10 +444,9 @@ class RepairBundle:
     rebuilt: tuple         # the alpha recovered symbols of the failed node
 
 
-def _cheaper_program(block: Matrix) -> Program | Matrix:
-    """``block``'s elimination program, or the inverse it computes if that costs no more."""
-    program = elimination_program(block)
-    flat = program @ Matrix.identity(block.field, block.rows)
+def _cheaper_program(program: Program) -> Program | Matrix:
+    """``program``, or the matrix it computes if that costs the kernel no more."""
+    flat = program @ Matrix.identity(program.field, program.inputs)
     return flat if kernel_cost(flat) <= kernel_cost(program) else program
 
 
@@ -463,7 +467,7 @@ class LinearCode:
         self.params = params
         self.generator = generator
         self.label = label or f"code {params}"
-        self._matrices: dict = {}  # node set -> its decode_matrix, decode_program or repair_matrices
+        self._programs: dict = {}  # node list, or (failed, helpers) -> decode_program, or repair_program
 
     # -- encoding ----------------------------------------------------------
 
@@ -558,15 +562,11 @@ class LinearCode:
         for r in rows:
             if len(r) != alpha:
                 raise LengthMismatch(f"stored row has {len(r)} symbols, expected {alpha}")
-        flat = [x for r in rows for x in r]
-        return self.decode_matrix(ids).mul_vector(flat)
-
-    def decode_matrix(self, ids: Sequence[int]) -> Matrix:
-        """B x k*alpha inverse of the stacked node blocks of ``ids``, computed once per node list."""
-        return self._solve(("decode", tuple(ids)), ids, Matrix.inverse)
+        column = Matrix(self.params.field, [[x] for r in rows for x in r])
+        return [row[0] for row in (self.decode_program(ids) @ column).data]
 
     def decode_program(self, ids: Sequence[int]) -> Program | Matrix:
-        """What the bulk decode applies to the stacked rows of ``ids``, computed once per node list.
+        """What a decode applies to the stacked rows of ``ids``, computed once per node list.
 
         The elimination program of the stacked node blocks
         (``linalg.elimination_program``), or the dense inverse it computes
@@ -574,45 +574,43 @@ class LinearCode:
         can for a dense block.  Either way it is exact, and no inverse is
         taken.
         """
-        return self._solve(("program", tuple(ids)), ids, _cheaper_program)
-
-    def _solve(self, key, ids: Sequence[int], solve):
-        if key not in self._matrices:
+        key = tuple(ids)
+        if key not in self._programs:
             self.check_decode_args(ids)
             block = Matrix.vstack([self.node_block(i) for i in ids])
             try:
-                self._matrices[key] = solve(block)
+                self._programs[key] = _cheaper_program(elimination_program(block))
             except Singular as exc:
                 raise Singular(f"nodes {list(ids)} do not determine the message") from exc
-        return self._matrices[key]
+        return self._programs[key]
 
-    def repair_matrices(self, failed: int, helpers: Sequence[int]) -> tuple[tuple, Matrix | None, Matrix]:
-        """(selected rows, transfer, rebuild) of one repair, computed once per helper list.
+    def repair_program(self, failed: int, helpers: Sequence[int]) -> tuple[tuple, Program | Matrix]:
+        """(selected rows, program) of one repair, computed once per helper list.
 
         The selected rows S are the positions where ``repair_vector(failed)``
         is nonzero: the only stored rows a helper's symbol depends on, and so
-        the only ones a helper reads.  Row h of the d x d*|S| transfer matrix
-        dots helper h's selected rows with their coefficients: the one symbol
-        per stripe that helper sends.  The transfer is None when each helper
-        sends its one selected row as it is (a unit repair vector, as the
-        first alpha nodes of a repair-by-transfer code have).  The alpha x d
-        rebuild matrix (``repair_matrix``) takes the d symbols to the failed
-        node's alpha rows.
+        the only ones a helper reads.  The program reads the d*|S| selected
+        rows in helper order.  Its first d rows are the symbols the helpers
+        send, and its outputs the failed node's alpha rows, which
+        ``repair_matrix`` takes from those d.  As for decode, the matrix it
+        computes replaces it when that costs no more; for a unit repair
+        vector (repair by transfer) that is the rebuild matrix.
         """
-        key = ("repair", failed, tuple(helpers))
-        if key not in self._matrices:
+        key = (failed, tuple(helpers))
+        if key not in self._programs:
             self.check_repair_args(failed, helpers)
             p = self.params
             vec = self.repair_vector(failed)
             rows = tuple(j for j, c in enumerate(vec) if c)
-            coefficients = [vec[j] for j in rows]
-            transfer = None
-            if coefficients != [1]:
-                transfer = Matrix.zeros(p.field, p.d, p.d * len(rows))
-                for h in range(p.d):
-                    transfer.data[h][h * len(rows) : (h + 1) * len(rows)] = coefficients
-            self._matrices[key] = (rows, transfer, self.repair_matrix(failed, helpers))
-        return self._matrices[key]
+            inputs = p.d * len(rows)
+            width = inputs + p.d + p.alpha
+            sent = [[0] * width for _ in range(p.d)]
+            for h, line in enumerate(sent):
+                line[h * len(rows) : (h + 1) * len(rows)] = [vec[j] for j in rows]
+            rebuild = [[0] * inputs + row + [0] * p.alpha for row in self.repair_matrix(failed, helpers).data]
+            program = Program(p.field, sent + rebuild, inputs, range(p.d, p.d + p.alpha))
+            self._programs[key] = (rows, _cheaper_program(program))
+        return self._programs[key]
 
 
 class PmVandermondeCode(LinearCode):

@@ -279,7 +279,7 @@ def test_17_8_15_gf256_stripes_match_the_packet_oracle(monkeypatch, build):
 
     failed = 12  # a parity node
     helpers = [i for i in range(p.n) if i not in (failed, 3)]
-    selected, _, _ = code.repair_matrices(failed, helpers)
+    selected, _ = code.repair_program(failed, helpers)
     sent = np.vstack([node_rows([h])[list(selected)] for h in helpers])
     assert np.array_equal(repair_stripes(code, failed, helpers, sent), node_rows([failed]))
     ids = [1, 3, 5, 9, 11, 13, 15, 16]  # a degraded decode: four parity nodes

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
+from pmcode import construct
 from pmcode.construct import (
     RbtCode,
     ShortenedCode,
@@ -273,6 +275,24 @@ def test_shorten_rejects_permuted_systematic_parent(vanilla846):
 # ---------------------------------------------------------------------------
 # full builders and field selection
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [build_vanilla_systematic, build_sparse_systematic], ids=["vanilla", "sparse"])
+@pytest.mark.parametrize("n, k, d, message", [
+    (8, -3, 6, "k=-3 must be at least 2"),
+    (8, -1, 6, "k=-1 must be at least 2"),
+    (8, 4, 5, "d=5 below 2k-2=6"),
+    (8, 4, 9, "d=9 exceeds n-1=7"),
+])
+def test_builders_check_the_given_regime_before_building(monkeypatch, build, n, k, d, message):
+    # a shortened code's parent is [n+i, k+i, d+i], i = d-2k+2: no encoding is
+    # built for these, so the error names the numbers given
+    def no_encoding(*args):
+        raise AssertionError(f"built an encoding for {args}")
+
+    monkeypatch.setattr(construct, "_base_encoding", no_encoding)
+    with pytest.raises(InvalidRegime, match=f"^{re.escape(message)}$"):
+        build(n, k, d, field=field_of_order(257))
+
 
 def test_choose_prime_encoding_values():
     assert choose_prime_encoding(8, 4, 6).params.field.q == 11

@@ -23,11 +23,11 @@ DELETE = object()
 PLACES = (None, "field", "layout", "xs", "hashes")  # None: the top level
 
 # Integers stay small, so that a mutated n, k or d builds in milliseconds;
-# the larger ones are a field order, the default GF(2^8) polynomial and a
-# modulus out of range.  Strings are the words a descriptor uses, or drawn
+# negative ones are refused before any code is built.  The larger ones are
+# a field order, the default GF(2^8) polynomial and a modulus out of range.  Strings are the words a descriptor uses, or drawn
 # from a short alphabet, which keeps hypothesis from building its Unicode
 # tables (seconds).
-INTEGERS = st.integers(-1, 12) | st.sampled_from([256, 257, 0x11D, 1 << 31])
+INTEGERS = st.integers(-20, 12) | st.sampled_from([256, 257, 0x11D, 1 << 31])
 WORDS = st.sampled_from([
     "prime", "binary8", "q", "poly", "sparse", "rbt", "vanilla", "packets", "u32be",
     "pmcode-descriptor-v1", "pmcode-descriptor-v2", "g_sys.txt",

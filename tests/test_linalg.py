@@ -6,6 +6,8 @@ from functools import reduce
 from operator import xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcode.errors import (
     DimensionMismatch,
@@ -332,3 +334,36 @@ def test_text_rejects_bad_input():
         matrix_from_text("2 2 11\n1 2\n")  # row count mismatch
     with pytest.raises(FieldMismatch):
         matrix_from_text("1 1 11\n1\n", field=F13)
+
+
+# Text from a short alphabet (plain st.text() makes hypothesis build its
+# Unicode tables, which takes seconds): free-form, or a valid matrix text of
+# a few rows with characters inserted, replaced or deleted.
+TEXT_ALPHABET = "0123456789 -+_\t\r\n"
+
+
+@st.composite
+def matrix_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(TEXT_ALPHABET, max_size=40))
+    q = draw(st.sampled_from([2, 3, 11, 256, 257]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.lists(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    text = Matrix(field_of_order(q), draw(entries)).to_text()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.text(TEXT_ALPHABET, max_size=2)) + text[at + cut :]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(matrix_texts())
+def test_matrix_text_parses_to_a_matrix_that_round_trips_or_is_refused(text):
+    try:
+        m = matrix_from_text(text)
+    except ValueError:
+        return
+    assert m.field.order == int(text.split()[2])
+    assert all(0 <= x < m.field.order for row in m.data for x in row)
+    assert matrix_from_text(m.to_text()) == m

@@ -1,17 +1,18 @@
 """Repair reads only the helper rows its repair vector names, and sends one symbol per helper."""
 
+import json
 import os
 import random
 
 import numpy as np
 import pytest
 
-from pmcode import analysis
+from pmcode import analysis, core
 from pmcode.analysis import encode_stripes, random_stripes, repair_stripes
-from pmcode.cli import main, shard_name
+from pmcode.cli import code_from_descriptor, main, shard_name
 from pmcode.construct import build_sparse_systematic
 from pmcode.field import field_of_order
-from pmcode.linalg import Matrix
+from pmcode.linalg import Matrix, kernel_cost
 
 # name: (gen arguments, nodes repaired by transfer: a unit repair vector)
 CODES = {
@@ -89,26 +90,41 @@ def test_each_helper_reads_its_header_and_only_the_selected_rows(tmp_path, monke
         assert read == expected, f"node {failed}"
 
 
-@pytest.mark.parametrize("failed", [0, 6])
-def test_a_unit_repair_vector_runs_no_transfer_kernel(monkeypatch, failed):
-    code = build_sparse_systematic(8, 4, 6, field=field_of_order(256))
-    p = code.params
-    helpers = [i for i in range(p.n) if i != failed][: p.d]
-    stored = encode_stripes(code, random_stripes(p.field, p.B, 45, seed=failed))
-    selected, transfer, rebuild = code.repair_matrices(failed, helpers)
-    assert (len(selected), transfer is None) == ((1, True) if failed == 0 else (p.alpha, False))
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_repair_runs_one_kernel_call_per_chunk(tmp_path, monkeypatch, name):
+    desc, shards, (n, _, d, alpha) = encoded(tmp_path, name)
+    code = code_from_descriptor(json.loads(desc.read_text()))
+    field = code.params.field
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 256)  # several chunks for every repair
     kernels = []
     real = analysis.apply_rows_bulk
     monkeypatch.setattr(analysis, "apply_rows_bulk", lambda f, mat, data: kernels.append(mat) or real(f, mat, data))
-    sent = np.vstack([stored[h * p.alpha + np.array(selected)] for h in helpers])
-    assert np.array_equal(repair_stripes(code, failed, helpers, sent), stored[failed * p.alpha : (failed + 1) * p.alpha])
-    expected = [rebuild] if failed == 0 else [transfer, rebuild]
-    assert len(kernels) == len(expected) and all(a is b for a, b in zip(kernels, expected))
+    for failed in (0, n - 1):  # a node repaired by transfer, then one that is not
+        kernels.clear()
+        assert run("repair", "--descriptor", desc, "--shard-dir", shards,
+                   "--failed", failed, "--out", tmp_path / "rebuilt.shard") == 0
+        helpers = [i for i in range(n) if i != failed][:d]
+        selected, program = code.repair_program(failed, helpers)
+        width = analysis.chunk_stripes(field, program.inputs, program.rows)
+        assert len(kernels) == -(-STRIPES // width) > 1
+        assert all((m.data, m.inputs, tuple(m.outputs)) == (program.data, program.inputs, tuple(program.outputs))
+                   for m in kernels)
+        rebuild = code.repair_matrix(failed, helpers)
+        if failed in CODES[name][1]:
+            assert program == rebuild  # each helper sends a stored row as it is
+            continue
+        # what the program computes: the rebuild matrix over each helper's dot product
+        vec = code.repair_vector(failed)
+        transfer = Matrix.zeros(field, d, d * len(selected))
+        for h in range(d):
+            transfer.data[h][h * len(selected) : (h + 1) * len(selected)] = [vec[j] for j in selected]
+        assert program @ Matrix.identity(field, program.inputs) == rebuild @ transfer
 
 
-def test_a_scaled_unit_repair_vector_keeps_its_transfer():
+@pytest.mark.parametrize("q", [256, 257])
+def test_a_scaled_unit_repair_vector_runs_the_cheaper_form(monkeypatch, q):
     # one selected row with a coefficient c != 1: each helper sends c times its row
-    code = build_sparse_systematic(8, 4, 6, field=field_of_order(257))
+    code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
     p = code.params
     c = 5
     inv_c = p.field.div(1, c)
@@ -117,13 +133,34 @@ def test_a_scaled_unit_repair_vector_keeps_its_transfer():
     code.repair_matrix = lambda failed, helpers: Matrix(
         p.field, [[p.field.mul(inv_c, x) for x in row] for row in real_matrix(failed, helpers).data]
     )
+    built = []
+    real_cheaper = core._cheaper_program
+    monkeypatch.setattr(core, "_cheaper_program", lambda program: built.append(program) or real_cheaper(program))
     helpers = [1, 2, 3, 4, 5, 6]
-    selected, transfer, _ = code.repair_matrices(0, helpers)
+    selected, applied = code.repair_program(0, helpers)
     assert selected == (0,)
-    assert transfer.data == [[c if j == h else 0 for j in range(p.d)] for h in range(p.d)]
-    stored = encode_stripes(code, random_stripes(p.field, p.B, 9, seed=5))
+    (program,) = built
+    assert [row[: p.d] for row in program.data[: p.d]] == [[c if j == h else 0 for j in range(p.d)] for h in range(p.d)]
+    flat = program @ Matrix.identity(p.field, p.d)
+    assert flat == real_matrix(0, helpers)
+    assert kernel_cost(applied) == min(kernel_cost(flat), kernel_cost(program))
+    assert applied is program or applied == flat
+    if q == 257:  # c costs one term per helper, and the flat form drops them
+        assert applied == flat
+    stored = encode_stripes(code, random_stripes(p.field, p.B, 45, seed=5))
     sent = stored[[h * p.alpha for h in helpers]]
     assert np.array_equal(repair_stripes(code, 0, helpers, sent), stored[: p.alpha])
+
+
+@pytest.mark.parametrize("n, k, d, q, costs", [
+    (13, 6, 11, 256, [2056, 2117, 2118, 2038, 2117, 2668, 4170, 4463, 4219, 4571, 4136, 4535, 4456]),
+    (12, 6, 10, 257, [50] * 5 + [100] * 7),
+])
+def test_repair_program_costs(n, k, d, q, costs):
+    # bitmatrix ones per block over GF(2^8), terms per stripe over F_257, default helpers
+    code = build_sparse_systematic(n, k, d, field=field_of_order(q))
+    helpers = [[i for i in range(n) if i != failed][:d] for failed in range(n)]
+    assert [kernel_cost(code.repair_program(f, h)[1]) for f, h in enumerate(helpers)] == costs
 
 
 @pytest.mark.parametrize("failed, line", [
