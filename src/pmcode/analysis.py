@@ -102,9 +102,9 @@ def sparsity_report(code: LinearCode) -> SparsityReport:
     )
     total = g.rows * g.cols
     zeros = total - sum(counts)
-    parity_rows = g.data[p.k * alpha :]
-    parity_total = len(parity_rows) * g.cols
-    parity_zeros = sum(1 for row in parity_rows for x in row if x == 0)
+    parity_counts = counts[p.k * alpha :]
+    parity_total = len(parity_counts) * g.cols
+    parity_zeros = parity_total - sum(parity_counts)
     pattern = tuple(
         "".join("*" if x else "." for x in row) for row in g.data
     )
@@ -536,9 +536,7 @@ class BenchResult:
 
 def parity_nonzeros(code: LinearCode) -> int:
     p = code.params
-    return sum(
-        sum(1 for x in row if x) for row in code.generator.data[p.k * p.alpha :]
-    )
+    return sum(code.generator.nonzeros_per_row()[p.k * p.alpha :])
 
 
 def predicted_speedup(sparse: LinearCode, dense: LinearCode) -> float:

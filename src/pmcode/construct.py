@@ -186,22 +186,22 @@ def choose_prime_encoding(n: int, k: int, d: int) -> EncodingMatrix:
             p = _next_prime(p + 1)
 
 
-def _base_encoding(n: int, k: int, d: int, field) -> EncodingMatrix:
+def _base_encoding(n: int, k: int, d: int, field, i: int = 0) -> EncodingMatrix:
+    """The encoding of the given [n, k, d] code's base-regime parent [n+i, k+i, d+i]."""
     if field is None:
-        return choose_prime_encoding(n, k, d)
-    return build_vandermonde_encoding(build_params(n, k, d, field))
+        return choose_prime_encoding(n + i, k + i, d + i)
+    try:
+        return build_vandermonde_encoding(build_params(n + i, k + i, d + i, field))
+    except InvalidRegime as exc:
+        raise InvalidRegime(f"[{n},{k},{d}]: {exc}") from exc
 
 
 def build_vanilla_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
     """Systematic product-matrix code for any 2k-2 <= d <= n-1 (dense generator)."""
     _check_regime(n, k, d)  # before a shortening parent is built
     i = d - 2 * k + 2
-    if i == 0:
-        enc = _base_encoding(n, k, d, field)
-        return remap_generic(PmVandermondeCode(enc))
-    parent_enc = _base_encoding(n + i, k + i, d + i, field)
-    parent = remap_generic(PmVandermondeCode(parent_enc))
-    return shorten(parent, i)
+    code = remap_generic(PmVandermondeCode(_base_encoding(n, k, d, field, i)))
+    return shorten(code, i) if i else code
 
 
 def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
@@ -215,12 +215,11 @@ def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode 
     """
     _check_regime(n, k, d)  # before a shortening parent is built
     i = d - 2 * k + 2
+    enc = _base_encoding(n, k, d, field, i)
     if i == 0:
-        enc = sparsify_encoding(_base_encoding(n, k, d, field))
+        enc = sparsify_encoding(enc)
         return remap_generic(PmVandermondeCode(enc, f"sparse {enc.params}"))
-    parent_enc = _base_encoding(n + i, k + i, d + i, field)
-    parent = remap_generic(RbtCode(PmVandermondeCode(parent_enc)))
-    return shorten(parent, i)
+    return shorten(remap_generic(RbtCode(PmVandermondeCode(enc))), i)
 
 
 def build_rbt_systematic(n: int, k: int, d: int, field=None) -> RemappedCode:

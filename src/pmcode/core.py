@@ -223,7 +223,8 @@ def build_vandermonde_encoding(params: CodeParams, xs: Optional[Sequence[int]] =
     With explicit ``xs`` a property violation is an error.  Without, the
     default points are tried first (1..n); over GF(2^8), where x -> x^alpha
     need not be injective, successive runs (s, .., s+n-1) are tried until
-    property 3 holds.
+    property 3 holds, and when none does, each next point whose x^alpha is
+    new.  Fewer than n distinct x^alpha raise InvalidRegime.
     """
     field = params.field
     alpha = params.alpha
@@ -244,13 +245,18 @@ def build_vandermonde_encoding(params: CodeParams, xs: Optional[Sequence[int]] =
         return attempt(list(xs))
     if field.kind == "prime":
         return attempt(list(range(1, params.n + 1)))
-    last = None
     for s in range(1, field.order - params.n + 1):
         try:
             return attempt(list(range(s, s + params.n)))
-        except PropertyViolation as exc:
-            last = exc
-    raise last
+        except PropertyViolation:
+            pass
+    points = range(1, field.order)
+    first = {}  # x^alpha -> the first point that has it
+    for x, lam in zip(points, vandermonde(field, points, alpha).column_vector(alpha - 1)):
+        first.setdefault(lam, x)
+    if len(first) < params.n:
+        raise InvalidRegime(f"{field!r} has {len(first)} distinct x^{alpha}, fewer than n={params.n}")
+    return attempt(list(first.values())[: params.n])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ object only carries the arithmetic.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import ZeroInverse
 
 GF256_DEFAULT_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
@@ -52,7 +50,8 @@ def _is_irreducible_deg8(poly: int) -> bool:
 
 
 def gf256_mul_bitwise(a: int, b: int, poly: int = GF256_DEFAULT_POLY) -> int:
-    """Shift-and-xor product in GF(2^8), used as the oracle for the tables."""
+    """Shift-and-xor product in GF(2^8): the tests' oracle for the product
+    table, whose "times x" row it also supplies."""
     acc = 0
     while b:
         if b & 1:
@@ -106,10 +105,11 @@ class PrimeField:
 
 
 class BinaryField:
-    """GF(2^8) with log/antilog tables over a given modulus polynomial.
+    """GF(2^8) over a given modulus polynomial, multiplied through its product table.
 
-    Addition is xor.  Multiplication goes through the tables; the table
-    contents are generated from the bitwise product, and the two must agree
+    Addition is xor.  ``product_tables[c]`` is row c of the 256x256 product
+    table as 256 bytes, ``row.translate``-able: row[x] = c*x.  It is built
+    from the bitwise product's "times x" row, and the two must agree
     everywhere (covered by the test suite).
     """
 
@@ -121,40 +121,15 @@ class BinaryField:
         self.poly = poly
         self.q = 256
         self.order = 256
-        self.generator = self._find_generator()
-        exp = [0] * 255
-        log = [0] * 256
-        x = 1
-        for i in range(255):
-            exp[i] = x
-            log[x] = i
-            x = gf256_mul_bitwise(x, self.generator, poly)
-        self.exp = exp
-        self.log = log
-
-    def _find_generator(self) -> int:
-        for g in range(2, 256):
-            x, period = 1, 0
-            while True:
-                x = gf256_mul_bitwise(x, g, self.poly)
-                period += 1
-                if x == 1:
-                    break
-            if period == 255:
-                return g
-        raise ValueError(f"no primitive element found for polynomial {self.poly:#x}")
-
-    @cached_property
-    def product_tables(self) -> tuple:
-        """Row c of the product table as 256 bytes: ``row.translate``-able, row[x] = c*x."""
-        exp2 = bytes(self.exp + self.exp)  # doubled: no mod needed
-        logs = bytes([0] + self.log[1:])
-        tables = [bytes(256)]
-        for c in range(1, 256):
-            lc = self.log[c]
-            # row[x] = exp[log c + log x] for x != 0, i.e. logs mapped through a rotated exp
-            tables.append(b"\0" + logs.translate(exp2[lc : lc + 255] + b"\0")[1:])
-        return tuple(tables)
+        times_x = bytes(gf256_mul_bitwise(2, x, poly) for x in range(256))
+        tables = [bytes(256), bytes(range(256))]
+        one = int.from_bytes(tables[1], "big")
+        for c in range(1, 128):
+            # row 2c is row c times the element 2 (the polynomial x); row 2c+1 adds row 1
+            even = tables[c].translate(times_x)
+            tables += [even, (int.from_bytes(even, "big") ^ one).to_bytes(256, "big")]
+        self.product_tables = tuple(tables)
+        self._inverses = bytes([0] + [row.index(1) for row in tables[1:]])
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -162,14 +137,12 @@ class BinaryField:
     sub = add
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % 255]
+        return self.product_tables[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self.exp[(255 - self.log[a]) % 255]
+        return self._inverses[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

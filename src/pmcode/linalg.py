@@ -4,9 +4,10 @@ A :class:`Matrix` stores its entries row-major as plain ints.  All operations
 are exact.  Both products, ``Matrix @`` and ``Program @``, run one row
 routine per field family, which skips zero coefficients: ``_rows_prime``
 sums int lists and reduces each row once, and ``_rows_gf256`` scales bytes
-rows with ``bytes.translate`` and sums them by int XOR.  ``mul_vector`` is
-the one matrix-vector path.  Elimination (``inverse``, ``rank``) is one
-Gauss-Jordan pivot loop over each family's row form and row operations.
+rows with ``bytes.translate`` through the field's product table and sums
+them by int XOR.  ``mul_vector`` is ``@`` on one column.  Elimination
+(``inverse``, ``rank``) is one Gauss-Jordan pivot loop over each family's
+row form and row operations.
 """
 
 from __future__ import annotations
@@ -138,21 +139,10 @@ class Matrix:
         return _run(self, other)
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
-        """Matrix-vector product, returned as a plain list."""
+        """Matrix-vector product, returned as a plain list: ``@`` on one column."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times vector of {len(vec)}")
-        if self.field.kind == "prime":
-            q = self.field.q
-            return [sum(x * y for x, y in zip(row, vec)) % q for row in self.data]
-        exp, log = self.field.exp, self.field.log
-        out = []
-        for row in self.data:
-            acc = 0
-            for x, y in zip(row, vec):
-                if x and y:
-                    acc ^= exp[(log[x] + log[y]) % 255]
-            out.append(acc)
-        return out
+        return _run(self, Matrix(self.field, [[x] for x in vec])).column_vector(0)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

@@ -3,9 +3,12 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcode import cli
 from pmcode.cli import (
@@ -565,3 +568,100 @@ def test_encode_refuses_to_overwrite_its_input(tmp_path, capsys, target):
     assert "is one of this command's inputs" in capsys.readouterr().err
     assert [desc_path, *sorted(shards.iterdir())] == files  # no temporary file is left
     assert [p.read_bytes() for p in files] == before
+
+
+@pytest.fixture(scope="module")
+def encoded_846(tmp_path_factory):
+    """A sparse [8,4,6]/GF(2^8) descriptor, the shards of a 5,000-byte object,
+    and node 1's shard from a 4,999-byte object encoded with the same descriptor."""
+    root = tmp_path_factory.mktemp("encoded_846")
+    code = gen_dir(root, "code", "--n", 8, "--k", 4, "--d", 6, "--gf256")
+    rng = random.Random(16)
+    for name, size in (("shards", 5000), ("other", 4999)):
+        (root / f"{name}.bin").write_bytes(rng.randbytes(size))
+        assert run("encode", "--descriptor", code / "descriptor.json",
+                   "--data", root / f"{name}.bin", "--out-dir", root / name) == 0
+    return code / "descriptor.json", root / "shards", root / "other" / shard_name(1)
+
+
+def _node_1(shards):
+    return shards / shard_name(1)
+
+
+@pytest.mark.parametrize("mutate, nodes, message", [
+    (lambda s, other: _node_1(s).write_bytes(_node_1(s).read_bytes()[: SHARD_HEADER.size + 1250]),
+     None, "shard body is 1250 bytes, expected 1251"),
+    (lambda s, other: _node_1(s).write_bytes(_node_1(s).read_bytes()[:30]), None, "truncated shard header"),
+    (lambda s, other: _node_1(s).write_bytes(b"NOTSHARD" + _node_1(s).read_bytes()[8:]), None, "not a shard file"),
+    (lambda s, other: _node_1(s).write_bytes((s / shard_name(2)).read_bytes()), None, "header says node 2"),
+    (lambda s, other: _node_1(s).unlink(), None, "{role} 1 has no shard"),
+    (lambda s, other: [path.unlink() for path in s.iterdir()], None, "no node_*.shard files"),
+    (lambda s, other: None, "0,x", "bad node list '0,x'"),
+    (lambda s, other: _node_1(s).write_bytes(other.read_bytes()), None, "stripe geometry differs from other {role}s"),
+], ids=["short-body", "short-header", "bad-magic", "wrong-node", "missing-node", "empty-dir",
+        "bad-node-list", "other-geometry"])
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_bad_shard_set_is_refused_with_no_output(tmp_path, capsys, encoded_846, command, mutate, nodes, message):
+    desc_path, source, other = encoded_846
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    for path in source.iterdir():
+        (shards / path.name).write_bytes(path.read_bytes())
+    mutate(shards, other)
+    out = tmp_path / "out"
+    if command == "decode":
+        argv, role = ("--nodes", nodes or "0,1,2,3"), "node"
+    else:
+        argv, role = ("--failed", 7, "--helpers", nodes or "0,1,2,3,4,5"), "helper"
+    assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv, "--out", out) == 2
+    assert message.format(role=role) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shards"]  # no output, no temporary file
+
+
+HEADER_DIGEST = bytes(range(32))
+
+
+@st.composite
+def shard_heads(draw):
+    """(field, alpha, file bytes before the body, body size).  The bytes are
+    free, or a packed header that may have a wrong magic or digest, bytes
+    overwritten or a cut; the body fits the header's stripe count or has any
+    size up to 4 KiB."""
+    field = draw(st.sampled_from([field_of_order(256), field_of_order(257)]))
+    alpha = draw(st.integers(1, 4))
+    stripes = draw(st.integers(0, 64) | st.integers(0, 2**64 - 1))
+    if draw(st.integers(0, 3)):
+        head = cli._HEADER.pack(
+            draw(st.sampled_from([cli.MAGIC] * 3 + [b"PMSHARD2"])),
+            draw(st.sampled_from([HEADER_DIGEST] * 3 + [bytes(32)])),
+            draw(st.integers(0, 2**32 - 1)),
+            stripes,
+            draw(st.integers(0, 2**64 - 1)),
+        )
+    else:
+        head = draw(st.binary(max_size=80))
+    for at, value in draw(st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)), max_size=2)):
+        if at < len(head):
+            head = head[:at] + bytes([value]) + head[at + 1 :]
+    if not draw(st.integers(0, 3)):
+        head = head[: draw(st.integers(0, len(head)))]
+    fits = alpha * stripes * cli.shard_dtype(field).itemsize
+    body = draw(st.integers(0, 4096) | (st.just(fits) if fits <= 4096 else st.nothing()))
+    return field, alpha, head, body
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(shard_heads())
+def test_shard_header_parses_or_is_a_cli_error(case):
+    field, alpha, head, body = case
+    with tempfile.TemporaryFile() as f:
+        f.write(head)
+        f.truncate(len(head) + body)
+        f.flush()
+        try:
+            node, stripes, payload_len = cli._read_header(f.fileno(), "fuzz.shard", HEADER_DIGEST, field, alpha)
+        except cli.CliError:
+            return
+    # only a whole header of this descriptor, over the body its stripes need, parses
+    assert head[: cli._HEADER.size] == cli._HEADER.pack(cli.MAGIC, HEADER_DIGEST, node, stripes, payload_len)
+    assert len(head) + body == cli._HEADER.size + alpha * stripes * cli.shard_dtype(field).itemsize

@@ -69,13 +69,16 @@ def test_gf256_matmul_with_zero_and_unit_entries_matches_schoolbook():
     assert (Matrix(GF256, [[1, 0]]) @ zero_lead).data == [[0, 5]]
 
 
-@pytest.mark.parametrize("field", [F11, GF256], ids=["F11", "GF256"])
+@pytest.mark.parametrize("field", [F11, GF256, field_of_order(257)], ids=["F11", "GF256", "F257"])
 def test_mul_vector_matches_matmul(field):
     rng = random.Random(3)
     a = random_matrix(field, 5, 8, rng)
     v = [rng.randrange(field.order) for _ in range(8)]
-    expected = a @ Matrix(field, [[x] for x in v])
-    assert a.mul_vector(v) == expected.column_vector(0)
+    assert a.mul_vector(v) == schoolbook_matmul(field, a, Matrix(field, [[x] for x in v])).column_vector(0)
+    assert a.mul_vector(v) == (a @ Matrix(field, [[x] for x in v])).column_vector(0)
+    for wrong in (v[:-1], v + [1]):
+        with pytest.raises(DimensionMismatch, match="5x8 times vector of"):
+            a.mul_vector(wrong)
 
 
 def test_matmul_shape_and_field_checks():
