@@ -43,6 +43,7 @@ from .core import (
     MessageMatrix,
     PmVandermondeCode,
     RepairBundle,
+    RepairPlan,
     build_params,
     build_vandermonde_encoding,
     decode_identity_block,
@@ -91,6 +92,7 @@ _ANALYSIS_NAMES = frozenset({
     "decode_stripes",
     "encode_stripes",
     "predicted_speedup",
+    "rebuild_stripes",
     "repair_stripes",
     "sparsity_report",
     "underlying_encoding",
@@ -133,6 +135,7 @@ __all__ = [
     "RbtCode",
     "RemappedCode",
     "RepairBundle",
+    "RepairPlan",
     "ShortenedCode",
     "Singular",
     "SparsityReport",
@@ -161,6 +164,7 @@ __all__ = [
     "packed_coords",
     "predicted_speedup",
     "random_message",
+    "rebuild_stripes",
     "remap_generic",
     "remap_via_inclusion",
     "repair_stripes",

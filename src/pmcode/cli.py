@@ -4,7 +4,7 @@ Subcommands:
 
 * ``gen``      build a code and write its matrices plus a descriptor
 * ``encode``   split a data file into per-node shard files
-* ``repair``   rebuild one node's shard from d helper shards
+* ``repair``   rebuild one node's shard from d helper shards or k node shards
 * ``decode``   recover the data file from any k shards
 * ``certify``  re-check the construction properties, reconstruction, repair
                and systematic form, one row per check
@@ -35,18 +35,23 @@ their peak memory is bounded by the chunk, not by the object.  Each chunk is
 read in place (``readinto`` on the input file, one ``preadv`` per segment of
 a shard row that the command reads, each byte once, after a header and
 file-size check) and each result is written at its offset with ``pwrite``.
-``decode`` reads every row of its k shards; ``repair`` reads only the rows
-of each helper that the repair vector names (``LinearCode.repair_program``),
-one row per helper for a node repaired by transfer, and prints the symbols
-per stripe it read and the helpers sent beside the k*alpha that a naive
-rebuild reads.  Every output goes to a temporary file beside it, which
-replaces the destination only after the last chunk and is removed on any
-error, so a failed command leaves no partial output; an output that is one
-of the command's own inputs (the data file or a shard it reads, or the
-descriptor) is refused before anything is written.  ``decode`` also checks
+``decode`` reads every row of its k shards.  ``repair`` runs one of two
+plans (``LinearCode.repair_plan``): from d helpers it reads only the rows
+the repair vector names (``repair_program``), one per helper for a node
+repaired by transfer, and from k nodes all their rows
+(``rebuild_program``).  By default it takes the plan that reads fewer
+symbols, over the first d or the first k present nodes; a ``--helpers``
+list runs the first.  It prints the symbols per stripe it read beside the
+d that the helpers send.  An empty ``--nodes`` or ``--helpers`` list is
+refused.  Every output goes to a temporary file beside it, which replaces
+the destination only after the last chunk and is removed on any error, so a
+failed command leaves no partial output; an output that is one of the
+command's own inputs (the data file or a shard it reads, or the descriptor)
+is refused before anything is written.  ``decode`` also checks
 that the last stripe's bytes past the payload length decode to zero.  The
-field arithmetic is in ``analysis.encode_stripes``, ``repair_stripes`` and
-``decode_stripes``; this module does file I/O and argument handling.
+field arithmetic is in ``analysis.encode_stripes``, ``repair_stripes``,
+``rebuild_stripes`` and ``decode_stripes``; this module does file I/O and
+argument handling.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from .analysis import (
     chunk_stripes,
     decode_stripes,
     encode_stripes,
+    rebuild_stripes,
     repair_stripes,
     shard_dtype,
     shard_layout,
@@ -85,8 +91,10 @@ from .construct import (
     build_sparse_systematic,
     build_vanilla_systematic,
 )
+from .core import RepairPlan
 from .errors import BadCount, BadHelperCount, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
+from .linalg import kernel_cost
 
 DESCRIPTOR_FORMAT = "pmcode-descriptor-v2"
 DESCRIPTOR_V1 = "pmcode-descriptor-v1"
@@ -328,16 +336,23 @@ def _atomic_output(path):
 
     The file replaces ``path`` when the block completes and is removed when
     it raises, so a failed command never leaves a partial output behind.
+    Failing to create or replace it is a CliError naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         try:
             yield fd
         finally:
             os.close(fd)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -409,10 +424,14 @@ def _stream_rows(sources, rows, params, stripes: int, program):
 
 
 def _parse_ids(text: str) -> list[int]:
+    """The comma-separated node ids of ``text``; none at all is a CliError, not a default."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"bad node list {text!r}; expected comma-separated integers") from exc
+        ids = [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        ids = []
+    if not ids:
+        raise CliError(f"bad node list {text!r}; expected comma-separated integers")
+    return ids
 
 
 def _data_symbols_per_byte_check(field):
@@ -483,28 +502,38 @@ def cmd_repair(args) -> int:
     p = code.params
     shards = _scan_shards(args.shard_dir, p.n)
     failed = args.failed
-    if args.helpers:
-        helpers = _parse_ids(args.helpers)
-    else:
-        helpers = [i for i in sorted(shards) if i != failed][: p.d]
     try:
-        code.check_repair_args(failed, helpers)
-    except (BadHelperCount, IndexOutOfRange) as exc:
+        if args.helpers is None:
+            plan = code.repair_plan(failed, sorted(shards))
+        else:
+            helpers = tuple(_parse_ids(args.helpers))
+            plan = RepairPlan(False, helpers, *code.repair_program(failed, helpers))
+    except (BadCount, BadHelperCount, IndexOutOfRange) as exc:
         raise CliError(f"cannot repair node {failed}: {exc}") from exc
+    apply = rebuild_stripes if plan.rebuild else repair_stripes
     out = Path(args.out or Path(args.shard_dir) / shard_name(failed))
-    rows, program = code.repair_program(failed, helpers)
+    role = "node" if plan.rebuild else "helper"
     with ExitStack() as stack:
-        sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, helpers, digest, p, "helper")
+        sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, plan.nodes, digest, p, role)
         _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
-        for s0, chunk in _stream_rows(sources, rows, p, stripes, program):
-            _write_rows(fd, repair_stripes(code, failed, helpers, chunk), stripes, s0, p.field)
-    print(
-        f"rebuilt node {failed} from helpers {','.join(str(h) for h in helpers)} -> {out}; per stripe: "
-        f"read {p.d * len(rows)} symbols ({len(rows)} of {p.alpha} rows per helper), sent {p.d}, "
-        f"naive rebuild reads {p.k * p.alpha}"
-    )
+        for s0, chunk in _stream_rows(sources, plan.rows, p, stripes, plan.program):
+            _write_rows(fd, apply(code, failed, plan.nodes, chunk), stripes, s0, p.field)
+    nodes = ",".join(str(i) for i in plan.nodes)
+    if plan.rebuild:
+        selected = sum(1 for c in code.repair_vector(failed) if c)
+        print(
+            f"rebuilt node {failed} from k={p.k} nodes {nodes} -> {out}; per stripe: "
+            f"read {plan.symbols} symbols ({p.alpha} of {p.alpha} rows per node), "
+            f"kernel_cost {kernel_cost(plan.program)}; d={p.d} helpers would read {p.d * selected}, send {p.d}"
+        )
+    else:
+        print(
+            f"rebuilt node {failed} from helpers {nodes} -> {out}; per stripe: "
+            f"read {plan.symbols} symbols ({len(plan.rows)} of {p.alpha} rows per helper), sent {p.d}, "
+            f"naive rebuild reads {p.k * p.alpha}"
+        )
     return 0
 
 
@@ -513,7 +542,7 @@ def cmd_decode(args) -> int:
     code = code_from_descriptor(desc)
     p = code.params
     shards = _scan_shards(args.shard_dir, p.n)
-    ids = _parse_ids(args.nodes) if args.nodes else sorted(shards)[: p.k]
+    ids = _parse_ids(args.nodes) if args.nodes is not None else sorted(shards)[: p.k]
     if len(ids) != p.k:
         raise CliError(f"need exactly k={p.k} nodes, got {len(ids)}")
     try:
@@ -620,11 +649,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_encode)
 
-    sub = subs.add_parser("repair", help="rebuild one node's shard from d helpers")
+    sub = subs.add_parser("repair", help="rebuild one node's shard from d helpers or k nodes")
     sub.add_argument("--descriptor", required=True)
     sub.add_argument("--shard-dir", required=True)
     sub.add_argument("--failed", type=int, required=True)
-    sub.add_argument("--helpers", help="comma-separated helper ids (default: first d present)")
+    sub.add_argument("--helpers", help="comma-separated ids of d helpers (default: the cheaper of the "
+                     "first d present as helpers and the first k present as decode nodes)")
     sub.add_argument("--out", help="output shard path (default: node_<failed>.shard in the shard dir)")
     sub.set_defaults(func=cmd_repair)
 

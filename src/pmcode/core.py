@@ -16,8 +16,10 @@ decodes and repairs one stripe at a time.  What the numpy bulk path in
 :mod:`pmcode.analysis` applies to many stripes at once is built here: the
 generator, and once per node set one straight-line program per operation,
 or the matrix it computes when that costs the kernel no more:
-``LinearCode.repair_program`` and ``LinearCode.decode_program``, a sparse
-elimination of the node rows that the per-stripe ``decode`` also runs.
+``LinearCode.repair_program`` from d helpers, ``rebuild_program`` from k
+nodes, and ``decode_program``, a sparse elimination of the node rows that
+the per-stripe ``decode`` also runs.  ``LinearCode.repair_plan`` picks the
+repair that reads fewer symbols.
 """
 
 from __future__ import annotations
@@ -450,6 +452,25 @@ class RepairBundle:
     rebuilt: tuple         # the alpha recovered symbols of the failed node
 
 
+@dataclass(frozen=True)
+class RepairPlan:
+    """One way to rebuild a node: read ``rows`` of each of ``nodes``, stacked in order, and run ``program``.
+
+    ``rebuild`` tells which: False for ``repair_program`` over d helpers,
+    True for ``rebuild_program`` over k nodes.
+    """
+
+    rebuild: bool
+    nodes: tuple
+    rows: tuple
+    program: Program | Matrix
+
+    @property
+    def symbols(self) -> int:
+        """Symbols read per stripe."""
+        return len(self.nodes) * len(self.rows)
+
+
 def _cheaper_program(program: Program) -> Program | Matrix:
     """``program``, or the matrix it computes if that costs the kernel no more."""
     flat = program @ Matrix.identity(program.field, program.inputs)
@@ -617,6 +638,59 @@ class LinearCode:
             program = Program(p.field, sent + rebuild, inputs, range(p.d, p.d + p.alpha))
             self._programs[key] = (rows, _cheaper_program(program))
         return self._programs[key]
+
+    def rebuild_program(self, failed: int, ids: Sequence[int]) -> Program | Matrix:
+        """What rebuilding ``failed`` from all stored rows of the k nodes ``ids`` applies, computed once.
+
+        The program reads the k*alpha rows of ``ids`` in order, runs
+        ``decode_program(ids)`` and then the failed node's alpha generator
+        rows over its outputs.  As for decode, the matrix it computes
+        replaces it when that costs no more: from nodes 0..k-1 the decode is
+        copies, and what remains is the node's generator rows.
+        """
+        key = ("rebuild", failed, tuple(ids))
+        if key not in self._programs:
+            p = self.params
+            if not 0 <= failed < p.n:
+                raise IndexOutOfRange(f"node {failed} of {p.n}")
+            if failed in ids:
+                raise BadCount(f"failed node {failed} cannot help rebuild itself")
+            decode = self.decode_program(ids)
+            steps = len(decode.data)
+            width = p.B + steps + p.alpha
+            data = [row + [0] * (width - len(row)) for row in decode.data]
+            for g in self.node_block(failed).data:
+                row = [0] * width
+                for o, c in zip(decode.outputs, g):
+                    row[p.B + o] = c
+                data.append(row)
+            program = Program(p.field, data, p.B, range(steps, steps + p.alpha))
+            self._programs[key] = _cheaper_program(program)
+        return self._programs[key]
+
+    def repair_plan(self, failed: int, present: Sequence[int]) -> RepairPlan:
+        """The cheaper way to rebuild ``failed`` from the nodes ``present``, taken in order.
+
+        d helpers (``repair_program`` over the first d other nodes) read
+        d*|S| symbols per stripe, and k nodes (``rebuild_program`` over the
+        first k) read k*alpha.  The plan that reads fewer wins, a tie going
+        to the lower ``kernel_cost`` and then to the helpers; a plan is
+        built only when it can win.  With fewer than d other nodes only the
+        rebuild is possible, and with fewer than k, BadCount.
+        """
+        p = self.params
+        helper_reads = p.d * sum(1 for c in self.repair_vector(failed) if c)  # checks failed
+        others = [i for i in present if i != failed]
+        if len(others) < p.k:
+            raise BadCount(f"need at least k={p.k} other nodes, got {others}")
+        plans = []
+        if len(others) >= p.d and helper_reads <= p.B:
+            helpers = tuple(others[: p.d])
+            plans.append(RepairPlan(False, helpers, *self.repair_program(failed, helpers)))
+        if not plans or helper_reads >= p.B:
+            ids = tuple(others[: p.k])
+            plans.append(RepairPlan(True, ids, tuple(range(p.alpha)), self.rebuild_program(failed, ids)))
+        return min(plans, key=lambda plan: (plan.symbols, kernel_cost(plan.program)))
 
 
 class PmVandermondeCode(LinearCode):

@@ -618,6 +618,34 @@ def test_bad_shard_set_is_refused_with_no_output(tmp_path, capsys, encoded_846, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shards"]  # no output, no temporary file
 
 
+@pytest.mark.parametrize("text", ["", ","])
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_an_empty_node_list_is_refused_not_read_as_the_default(tmp_path, capsys, encoded_846, command, text):
+    desc_path, shards, _ = encoded_846
+    argv = ("--nodes", text) if command == "decode" else ("--failed", 7, "--helpers", text)
+    assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv, "--out", tmp_path / "out") == 2
+    assert f"bad node list {text!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.bin", "No such file or directory"),  # the temporary file cannot be created
+    ("outdir", "Is a directory"),  # the finished temporary file cannot replace it
+])
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_an_output_that_cannot_be_written_is_reported_by_its_given_path(
+        tmp_path, capsys, encoded_846, command, target, reason):
+    desc_path, shards, _ = encoded_846
+    before = sorted(p.name for p in shards.iterdir())
+    (tmp_path / "outdir").mkdir()
+    out = tmp_path / target
+    argv = ("--nodes", "0,1,2,3") if command == "decode" else ("--failed", 7)
+    assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]  # no output, no temporary file
+    assert sorted(p.name for p in shards.iterdir()) == before
+
+
 HEADER_DIGEST = bytes(range(32))
 
 
