@@ -89,11 +89,8 @@ _ANALYSIS_NAMES = frozenset({
     "SparsityReport",
     "benchmark_pair",
     "certify",
-    "decode_stripes",
     "encode_stripes",
     "predicted_speedup",
-    "rebuild_stripes",
-    "repair_stripes",
     "sparsity_report",
     "underlying_encoding",
 })
@@ -150,7 +147,6 @@ __all__ = [
     "choose_prime_encoding",
     "conjugate_message",
     "decode_identity_block",
-    "decode_stripes",
     "encode",
     "encode_stripes",
     "encoding_from_phi_lambda",
@@ -164,10 +160,8 @@ __all__ = [
     "packed_coords",
     "predicted_speedup",
     "random_message",
-    "rebuild_stripes",
     "remap_generic",
     "remap_via_inclusion",
-    "repair_stripes",
     "shorten",
     "sparsify_encoding",
     "sparsity_report",

@@ -8,9 +8,9 @@ TR-95-048; Plank & Xu, IEEE NCA 2006): a block of 8 * ``PACKET`` stripes
 holds bit b of its virtual symbols in packet b, a coefficient is its 8x8
 bitmatrix over GF(2), and each 1 in it is one XOR of a ``PACKET``-byte
 packet.  Over prime fields a term is an int32 (int64 for large moduli)
-multiply-accumulate.  The same kernel backs ``encode_stripes``,
-``repair_stripes``, ``rebuild_stripes`` and ``decode_stripes``, which apply
-a code's generator, ``repair_program``, ``rebuild_program`` and
+multiply-accumulate.  One kernel, ``apply_rows_bulk``, applies a code's
+generator (``encode_stripes``), a repair plan's program
+(``LinearCode.repair_plan``, ``helper_plan`` or ``rebuild_plan``) and a
 ``decode_program``, one kernel call per batch.  A repair from d helpers
 takes only the helper rows its repair vector names; a rebuild from k nodes
 takes all their rows.  A decode applies no inverse: its program is a
@@ -18,7 +18,7 @@ sparse elimination of the node rows (Markowitz's elimination form of the
 inverse), whose rows also read earlier rows, so it costs the nonzeros of
 the code's own rows after fill-in rather than those of their dense
 inverse.  The command-line encode, repair and decode paths
-call them on one chunk of ``chunk_stripes`` stripes at a time, and
+call it on one chunk of ``chunk_stripes`` stripes at a time, and
 ``shard_dtype`` gives the symbol type those chunks have on disk.
 """
 
@@ -388,10 +388,10 @@ def apply_rows_bulk(field, mat: Matrix | Program, data: np.ndarray, skip_zeros: 
     """The outputs of ``mat`` on the stripes that are ``data``'s columns, stripe 0 first.
 
     ``mat`` is a matrix, whose result is mat @ data, or a straight-line
-    ``linalg.Program`` (``LinearCode.repair_program``, ``rebuild_program``,
-    ``decode_program``), whose rows may also read its earlier rows; each
-    row is a kernel row, computed in its output row when it is one.  Over a prime field each stripe is a
-    column of symbols, and a program's rows are computed in order.  Over
+    ``linalg.Program`` (a ``RepairPlan``'s, or ``LinearCode.decode_program``),
+    whose rows may also read its earlier rows; each row is a kernel row,
+    computed in its output row when it is one.  Over a prime field each
+    stripe is a column of symbols, and a program's rows are computed in order.  Over
     GF(2^8) the stripes are cut into blocks of 8 * ``PACKET`` from stripe
     0.  Packet b of a block (stripes b*PACKET .. (b+1)*PACKET) holds bit b
     of PACKET * 8 virtual symbols, and every 1 in a coefficient's bitmatrix
@@ -465,26 +465,6 @@ def apply_rows_bulk(field, mat: Matrix | Program, data: np.ndarray, skip_zeros: 
 def encode_stripes(code: LinearCode, data: np.ndarray, skip_zeros: bool = True) -> np.ndarray:
     """All node contents for a (B x S) stripe batch: (n*alpha x S)."""
     return apply_rows_bulk(code.params.field, code.generator, data, skip_zeros)
-
-
-def repair_stripes(code: LinearCode, failed: int, helpers, rows: np.ndarray) -> np.ndarray:
-    """The failed node's (alpha x S) rows from the helpers' selected rows,
-    stacked in helper order as a (d*|S| x S) array, through
-    ``LinearCode.repair_program``."""
-    return apply_rows_bulk(code.params.field, code.repair_program(failed, helpers)[1], rows)
-
-
-def rebuild_stripes(code: LinearCode, failed: int, ids, rows: np.ndarray) -> np.ndarray:
-    """The failed node's (alpha x S) rows from all rows of the k nodes ``ids``,
-    stacked in that order as a (k*alpha x S) array, through
-    ``LinearCode.rebuild_program``."""
-    return apply_rows_bulk(code.params.field, code.rebuild_program(failed, ids), rows)
-
-
-def decode_stripes(code: LinearCode, ids, rows: np.ndarray) -> np.ndarray:
-    """The (B x S) message stripes from the rows of nodes ``ids``, stacked in
-    that order as a (k*alpha x S) array, through ``LinearCode.decode_program``."""
-    return apply_rows_bulk(code.params.field, code.decode_program(ids), rows)
 
 
 def random_stripes(field, rows: int, stripes: int, seed: int) -> np.ndarray:

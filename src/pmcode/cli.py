@@ -37,26 +37,28 @@ a shard row that the command reads, each byte once, after a header and
 file-size check) and each result is written at its offset with ``pwrite``.
 ``decode`` reads every row of its k shards.  ``repair`` runs one of two
 plans (``LinearCode.repair_plan``): from d helpers it reads only the rows
-the repair vector names (``repair_program``), one per helper for a node
+the repair vector names (``helper_plan``), one per helper for a node
 repaired by transfer, and from k nodes all their rows
-(``rebuild_program``).  By default it takes the plan that reads fewer
+(``rebuild_plan``).  By default it takes the plan that reads fewer
 symbols, over the first d or the first k present nodes; a ``--helpers``
 list runs the first.  It prints the symbols per stripe it read beside the
 d that the helpers send.  An empty ``--nodes`` or ``--helpers`` list is
 refused.  Every output goes to a temporary file beside it, which replaces
 the destination only after the last chunk and is removed on any error, so a
-failed command leaves no partial output; an output that is one of the
-command's own inputs (the data file or a shard it reads, or the descriptor)
-is refused before anything is written.  ``decode`` also checks
+failed command leaves no partial output; an output that is a directory or
+one of the command's own inputs (the data file or a shard it reads, or the
+descriptor) is refused before anything is written.  ``decode`` also checks
 that the last stripe's bytes past the payload length decode to zero.  The
-field arithmetic is in ``analysis.encode_stripes``, ``repair_stripes``,
-``rebuild_stripes`` and ``decode_stripes``; this module does file I/O and
+field arithmetic is ``analysis.encode_stripes`` and, on each chunk that
+``_stream_rows`` reads, ``analysis.apply_rows_bulk`` with the repair plan's
+program or ``LinearCode.decode_program``; this module does file I/O and
 argument handling.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -73,13 +75,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .analysis import (
+    apply_rows_bulk,
     benchmark_pair,
     certify,
     chunk_stripes,
-    decode_stripes,
     encode_stripes,
-    rebuild_stripes,
-    repair_stripes,
     shard_dtype,
     shard_layout,
     sparsity_report,
@@ -91,7 +91,6 @@ from .construct import (
     build_sparse_systematic,
     build_vanilla_systematic,
 )
-from .core import RepairPlan
 from .errors import BadCount, BadHelperCount, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
 from .linalg import kernel_cost
@@ -398,29 +397,32 @@ def _open_nodes(stack: ExitStack, shard_dir, shards: dict, ids, digest: bytes, p
 
 
 def _refuse_overwriting(out, descriptor, sources) -> None:
-    """Raise CliError if ``out`` is the descriptor or a file opened in ``sources``, (path, fd) pairs."""
+    """Raise CliError if ``out`` is a directory, the descriptor or a file opened in ``sources``, (path, fd) pairs."""
     try:
         target = os.stat(out)
     except FileNotFoundError:
         return
+    if stat.S_ISDIR(os.lstat(out).st_mode):  # a link to a directory is replaced, not followed
+        raise CliError(f"cannot write {Path(out)}: {os.strerror(errno.EISDIR)}")
     inputs = [os.stat(descriptor)] + [os.fstat(fd) for _, fd in sources]
     if any(os.path.samestat(target, st) for st in inputs):
         raise CliError(f"{out} is one of this command's inputs; write the output elsewhere")
 
 
 def _stream_rows(sources, rows, params, stripes: int, program):
-    """Yield (s0, chunk): stripes s0..s0+w of the stored ``rows`` of every source, stacked in order.
+    """Yield (s0, outputs): ``program``'s outputs on stripes s0..s0+w of the stored ``rows``.
 
-    ``program`` reads the chunk, and each chunk holds as many stripes as
-    ``chunk_stripes`` allows for its inputs plus all its rows.  Each byte
-    of a selected row is read once, and no other row is read.
+    The program's inputs are those rows of every source, stacked in order,
+    and each chunk holds as many stripes as ``chunk_stripes`` allows for its
+    inputs plus all its rows: one ``apply_rows_bulk`` call per chunk.  Each
+    byte of a selected row is read once, and no other row is read.
     """
     width = chunk_stripes(params.field, program.inputs, program.rows)
     for s0 in range(0, stripes, width):
         chunk = np.empty((len(sources), len(rows), min(width, stripes - s0)), dtype=shard_dtype(params.field))
         for out, (path, fd) in zip(chunk, sources):
             _read_rows(fd, path, out, stripes, s0, params.field, rows)
-        yield s0, chunk.reshape(-1, chunk.shape[2])
+        yield s0, apply_rows_bulk(params.field, program, chunk.reshape(-1, chunk.shape[2]))
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -506,11 +508,9 @@ def cmd_repair(args) -> int:
         if args.helpers is None:
             plan = code.repair_plan(failed, sorted(shards))
         else:
-            helpers = tuple(_parse_ids(args.helpers))
-            plan = RepairPlan(False, helpers, *code.repair_program(failed, helpers))
+            plan = code.helper_plan(failed, _parse_ids(args.helpers))
     except (BadCount, BadHelperCount, IndexOutOfRange) as exc:
         raise CliError(f"cannot repair node {failed}: {exc}") from exc
-    apply = rebuild_stripes if plan.rebuild else repair_stripes
     out = Path(args.out or Path(args.shard_dir) / shard_name(failed))
     role = "node" if plan.rebuild else "helper"
     with ExitStack() as stack:
@@ -518,8 +518,8 @@ def cmd_repair(args) -> int:
         _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
-        for s0, chunk in _stream_rows(sources, plan.rows, p, stripes, plan.program):
-            _write_rows(fd, apply(code, failed, plan.nodes, chunk), stripes, s0, p.field)
+        for s0, rows in _stream_rows(sources, plan.rows, p, stripes, plan.program):
+            _write_rows(fd, rows, stripes, s0, p.field)
     nodes = ",".join(str(i) for i in plan.nodes)
     if plan.rebuild:
         selected = sum(1 for c in code.repair_vector(failed) if c)
@@ -546,16 +546,14 @@ def cmd_decode(args) -> int:
     if len(ids) != p.k:
         raise CliError(f"need exactly k={p.k} nodes, got {len(ids)}")
     try:
-        code.check_decode_args(ids)
+        program = code.decode_program(ids)
     except (BadCount, IndexOutOfRange) as exc:
         raise CliError(f"bad node list {args.nodes!r}: {exc}") from exc
-    program = code.decode_program(ids)
     with ExitStack() as stack:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
         _refuse_overwriting(args.out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(args.out))
-        for s0, rows in _stream_rows(sources, range(p.alpha), p, stripes, program):
-            message = decode_stripes(code, ids, rows)
+        for s0, message in _stream_rows(sources, range(p.alpha), p, stripes, program):
             if message.max(initial=0) > 255:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")
             data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)

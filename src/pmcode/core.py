@@ -16,10 +16,10 @@ decodes and repairs one stripe at a time.  What the numpy bulk path in
 :mod:`pmcode.analysis` applies to many stripes at once is built here: the
 generator, and once per node set one straight-line program per operation,
 or the matrix it computes when that costs the kernel no more:
-``LinearCode.repair_program`` from d helpers, ``rebuild_program`` from k
-nodes, and ``decode_program``, a sparse elimination of the node rows that
-the per-stripe ``decode`` also runs.  ``LinearCode.repair_plan`` picks the
-repair that reads fewer symbols.
+``LinearCode.decode_program``, a sparse elimination of the node rows that
+the per-stripe ``decode`` also runs, and the program of a ``RepairPlan``,
+``helper_plan`` from d helpers or ``rebuild_plan`` from k nodes, of which
+``repair_plan`` picks the one that reads fewer symbols.
 """
 
 from __future__ import annotations
@@ -456,8 +456,9 @@ class RepairBundle:
 class RepairPlan:
     """One way to rebuild a node: read ``rows`` of each of ``nodes``, stacked in order, and run ``program``.
 
-    ``rebuild`` tells which: False for ``repair_program`` over d helpers,
-    True for ``rebuild_program`` over k nodes.
+    Its (len(nodes)*len(rows) x S) inputs hold each node's rows in ``rows`` order, node by node,
+    and its outputs are the failed node's (alpha x S) rows.  ``rebuild`` tells which plan: False
+    for ``helper_plan`` over d helpers, True for ``rebuild_plan`` over k nodes.
     """
 
     rebuild: bool
@@ -494,7 +495,7 @@ class LinearCode:
         self.params = params
         self.generator = generator
         self.label = label or f"code {params}"
-        self._programs: dict = {}  # node list, or (failed, helpers) -> decode_program, or repair_program
+        self._programs: dict = {}  # node list -> decode_program; (failed, helpers), ("rebuild", failed, ids) -> plan
 
     # -- encoding ----------------------------------------------------------
 
@@ -611,11 +612,11 @@ class LinearCode:
                 raise Singular(f"nodes {list(ids)} do not determine the message") from exc
         return self._programs[key]
 
-    def repair_program(self, failed: int, helpers: Sequence[int]) -> tuple[tuple, Program | Matrix]:
-        """(selected rows, program) of one repair, computed once per helper list.
+    def helper_plan(self, failed: int, helpers: Sequence[int]) -> RepairPlan:
+        """The plan that repairs ``failed`` from d ``helpers``, computed once per helper list.
 
-        The selected rows S are the positions where ``repair_vector(failed)``
-        is nonzero: the only stored rows a helper's symbol depends on, and so
+        Its rows S are the positions where ``repair_vector(failed)`` is
+        nonzero: the only stored rows a helper's symbol depends on, and so
         the only ones a helper reads.  The program reads the d*|S| selected
         rows in helper order.  Its first d rows are the symbols the helpers
         send, and its outputs the failed node's alpha rows, which
@@ -636,11 +637,11 @@ class LinearCode:
                 line[h * len(rows) : (h + 1) * len(rows)] = [vec[j] for j in rows]
             rebuild = [[0] * inputs + row + [0] * p.alpha for row in self.repair_matrix(failed, helpers).data]
             program = Program(p.field, sent + rebuild, inputs, range(p.d, p.d + p.alpha))
-            self._programs[key] = (rows, _cheaper_program(program))
+            self._programs[key] = RepairPlan(False, tuple(helpers), rows, _cheaper_program(program))
         return self._programs[key]
 
-    def rebuild_program(self, failed: int, ids: Sequence[int]) -> Program | Matrix:
-        """What rebuilding ``failed`` from all stored rows of the k nodes ``ids`` applies, computed once.
+    def rebuild_plan(self, failed: int, ids: Sequence[int]) -> RepairPlan:
+        """The plan that rebuilds ``failed`` from all stored rows of the k nodes ``ids``, computed once.
 
         The program reads the k*alpha rows of ``ids`` in order, runs
         ``decode_program(ids)`` and then the failed node's alpha generator
@@ -665,14 +666,14 @@ class LinearCode:
                     row[p.B + o] = c
                 data.append(row)
             program = Program(p.field, data, p.B, range(steps, steps + p.alpha))
-            self._programs[key] = _cheaper_program(program)
+            self._programs[key] = RepairPlan(True, tuple(ids), tuple(range(p.alpha)), _cheaper_program(program))
         return self._programs[key]
 
     def repair_plan(self, failed: int, present: Sequence[int]) -> RepairPlan:
         """The cheaper way to rebuild ``failed`` from the nodes ``present``, taken in order.
 
-        d helpers (``repair_program`` over the first d other nodes) read
-        d*|S| symbols per stripe, and k nodes (``rebuild_program`` over the
+        d helpers (``helper_plan`` over the first d other nodes) read
+        d*|S| symbols per stripe, and k nodes (``rebuild_plan`` over the
         first k) read k*alpha.  The plan that reads fewer wins, a tie going
         to the lower ``kernel_cost`` and then to the helpers; a plan is
         built only when it can win.  With fewer than d other nodes only the
@@ -685,11 +686,9 @@ class LinearCode:
             raise BadCount(f"need at least k={p.k} other nodes, got {others}")
         plans = []
         if len(others) >= p.d and helper_reads <= p.B:
-            helpers = tuple(others[: p.d])
-            plans.append(RepairPlan(False, helpers, *self.repair_program(failed, helpers)))
+            plans.append(self.helper_plan(failed, others[: p.d]))
         if not plans or helper_reads >= p.B:
-            ids = tuple(others[: p.k])
-            plans.append(RepairPlan(True, ids, tuple(range(p.alpha)), self.rebuild_program(failed, ids)))
+            plans.append(self.rebuild_plan(failed, others[: p.k]))
         return min(plans, key=lambda plan: (plan.symbols, kernel_cost(plan.program)))
 
 

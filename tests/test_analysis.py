@@ -12,12 +12,10 @@ from pmcode.analysis import (
     apply_rows_bulk,
     benchmark_pair,
     certify,
-    decode_stripes,
     encode_stripes,
     parity_nonzeros,
     predicted_speedup,
     random_stripes,
-    repair_stripes,
     sparsity_report,
     underlying_encoding,
 )
@@ -279,11 +277,11 @@ def test_17_8_15_gf256_stripes_match_the_packet_oracle(monkeypatch, build):
 
     failed = 12  # a parity node
     helpers = [i for i in range(p.n) if i not in (failed, 3)]
-    selected, _ = code.repair_program(failed, helpers)
-    sent = np.vstack([node_rows([h])[list(selected)] for h in helpers])
-    assert np.array_equal(repair_stripes(code, failed, helpers, sent), node_rows([failed]))
+    plan = code.helper_plan(failed, helpers)
+    sent = np.vstack([node_rows([h])[list(plan.rows)] for h in helpers])
+    assert np.array_equal(apply_rows_bulk(p.field, plan.program, sent), node_rows([failed]))
     ids = [1, 3, 5, 9, 11, 13, 15, 16]  # a degraded decode: four parity nodes
-    assert np.array_equal(decode_stripes(code, ids, node_rows(ids)), data)
+    assert np.array_equal(apply_rows_bulk(p.field, code.decode_program(ids), node_rows(ids)), data)
 
 
 def test_packet_oracle_transposes_back():

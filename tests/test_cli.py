@@ -630,18 +630,21 @@ def test_an_empty_node_list_is_refused_not_read_as_the_default(tmp_path, capsys,
 
 @pytest.mark.parametrize("target, reason", [
     ("missing/out.bin", "No such file or directory"),  # the temporary file cannot be created
-    ("outdir", "Is a directory"),  # the finished temporary file cannot replace it
+    ("outdir", "Is a directory"),  # refused before the first chunk, not when the output replaces it
 ])
 @pytest.mark.parametrize("command", ["decode", "repair"])
 def test_an_output_that_cannot_be_written_is_reported_by_its_given_path(
-        tmp_path, capsys, encoded_846, command, target, reason):
+        tmp_path, capsys, monkeypatch, encoded_846, command, target, reason):
     desc_path, shards, _ = encoded_846
     before = sorted(p.name for p in shards.iterdir())
     (tmp_path / "outdir").mkdir()
     out = tmp_path / target
+    kernels, real = [], cli.apply_rows_bulk
+    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *args: kernels.append(args) or real(*args))
     argv = ("--nodes", "0,1,2,3") if command == "decode" else ("--failed", 7)
     assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv, "--out", out) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert kernels == []  # no chunk was read or computed
     assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]  # no output, no temporary file
     assert sorted(p.name for p in shards.iterdir()) == before
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pmcode import analysis
-from pmcode.analysis import apply_rows_bulk, decode_stripes, encode_stripes, random_stripes
+from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes
 from pmcode.construct import build_rbt_systematic, build_sparse_systematic, build_vanilla_systematic
 from pmcode.core import PmVandermondeCode, build_params, encoding_from_phi_lambda
 from pmcode.errors import DimensionMismatch, Singular
@@ -37,10 +37,10 @@ def inverse_of(code, ids):
 
 
 def check_decodes(code, data, stored, ids, per_stripe=False):
-    """decode_stripes from ``ids`` gives the message, as the dense inverse does, at no more cost."""
+    """decode_program from ``ids`` gives the message, as the dense inverse does, at no more cost."""
     p = code.params
     rows = node_rows(code, stored, ids)
-    message = decode_stripes(code, ids, rows)
+    message = apply_rows_bulk(p.field, code.decode_program(ids), rows)
     assert np.array_equal(message, data)
     inverse = inverse_of(code, ids)
     if p.field.kind == "binary8":
@@ -113,7 +113,8 @@ def test_decode_takes_no_inverse(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", no_inverse)
     ids = list(range(7, 13))
-    assert np.array_equal(decode_stripes(code, ids, node_rows(code, stored, ids)), data)
+    program = code.decode_program(ids)
+    assert np.array_equal(apply_rows_bulk(code.params.field, program, node_rows(code, stored, ids)), data)
     # the per-stripe decode, from a node set whose program it builds itself
     ids = [0, 2, 4, 8, 10, 12]
     symbols, message = to_symbols(node_rows(code, stored, ids), PACKET), to_symbols(data, PACKET)

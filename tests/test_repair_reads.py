@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from pmcode import analysis, core
-from pmcode.analysis import encode_stripes, random_stripes, repair_stripes
+from pmcode import analysis, cli, core
+from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes
 from pmcode.cli import code_from_descriptor, main, shard_name
 from pmcode.construct import build_rbt_systematic, build_sparse_systematic, build_vanilla_systematic
 from pmcode.errors import BadCount, IndexOutOfRange
@@ -71,6 +71,14 @@ def _counting_reads(monkeypatch, shards, n):
     return read
 
 
+def _counting_kernels(monkeypatch):
+    """The matrix or program of each kernel call the command line makes, in order."""
+    kernels = []
+    real = cli.apply_rows_bulk
+    monkeypatch.setattr(cli, "apply_rows_bulk", lambda f, mat, data: kernels.append(mat) or real(f, mat, data))
+    return kernels
+
+
 @pytest.mark.parametrize("helpers", ["default", "seeded"])
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_repair_rebuilds_every_node_byte_identical(tmp_path, name, helpers):
@@ -105,15 +113,14 @@ def test_repair_runs_one_kernel_call_per_chunk(tmp_path, monkeypatch, name):
     code = code_from_descriptor(json.loads(desc.read_text()))
     field = code.params.field
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", 256)  # several chunks for every repair
-    kernels = []
-    real = analysis.apply_rows_bulk
-    monkeypatch.setattr(analysis, "apply_rows_bulk", lambda f, mat, data: kernels.append(mat) or real(f, mat, data))
+    kernels = _counting_kernels(monkeypatch)
     for failed in (0, n - 1):  # a node repaired by transfer, then one that is not
         kernels.clear()
         helpers = [i for i in range(n) if i != failed][:d]
         assert run("repair", "--descriptor", desc, "--shard-dir", shards, "--failed", failed,
                    "--helpers", ",".join(map(str, helpers)), "--out", tmp_path / "rebuilt.shard") == 0
-        selected, program = code.repair_program(failed, helpers)
+        plan = code.helper_plan(failed, helpers)
+        selected, program = plan.rows, plan.program
         width = analysis.chunk_stripes(field, program.inputs, program.rows)
         assert len(kernels) == -(-STRIPES // width) > 1
         assert all((m.data, m.inputs, tuple(m.outputs)) == (program.data, program.inputs, tuple(program.outputs))
@@ -128,6 +135,23 @@ def test_repair_runs_one_kernel_call_per_chunk(tmp_path, monkeypatch, name):
         for h in range(d):
             transfer.data[h][h * len(selected) : (h + 1) * len(selected)] = [vec[j] for j in selected]
         assert program @ Matrix.identity(field, program.inputs) == rebuild @ transfer
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_decode_runs_one_kernel_call_per_chunk(tmp_path, monkeypatch, name):
+    desc, shards, (n, k, _, _) = encoded(tmp_path, name)
+    code = code_from_descriptor(json.loads(desc.read_text()))
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 256)  # several chunks for every decode
+    kernels = _counting_kernels(monkeypatch)
+    for ids in (list(range(k)), list(range(n - k, n))):  # systematic nodes, then the last k
+        kernels.clear()
+        assert run("decode", "--descriptor", desc, "--shard-dir", shards,
+                   "--nodes", ",".join(map(str, ids)), "--out", tmp_path / "decoded.bin") == 0
+        program = code.decode_program(ids)
+        width = analysis.chunk_stripes(code.params.field, program.inputs, program.rows)
+        assert len(kernels) == -(-STRIPES // width) > 1
+        assert all((m.data, m.inputs, tuple(m.outputs)) == (program.data, program.inputs, tuple(program.outputs))
+                   for m in kernels)
 
 
 @pytest.mark.parametrize("q", [256, 257])
@@ -146,7 +170,8 @@ def test_a_scaled_unit_repair_vector_runs_the_cheaper_form(monkeypatch, q):
     real_cheaper = core._cheaper_program
     monkeypatch.setattr(core, "_cheaper_program", lambda program: built.append(program) or real_cheaper(program))
     helpers = [1, 2, 3, 4, 5, 6]
-    selected, applied = code.repair_program(0, helpers)
+    plan = code.helper_plan(0, helpers)
+    selected, applied = plan.rows, plan.program
     assert selected == (0,)
     (program,) = built
     assert [row[: p.d] for row in program.data[: p.d]] == [[c if j == h else 0 for j in range(p.d)] for h in range(p.d)]
@@ -158,7 +183,7 @@ def test_a_scaled_unit_repair_vector_runs_the_cheaper_form(monkeypatch, q):
         assert applied == flat
     stored = encode_stripes(code, random_stripes(p.field, p.B, 45, seed=5))
     sent = stored[[h * p.alpha for h in helpers]]
-    assert np.array_equal(repair_stripes(code, 0, helpers, sent), stored[: p.alpha])
+    assert np.array_equal(apply_rows_bulk(p.field, plan.program, sent), stored[: p.alpha])
 
 
 @pytest.mark.parametrize("n, k, d, q, costs", [
@@ -169,7 +194,7 @@ def test_repair_program_costs(n, k, d, q, costs):
     # bitmatrix ones per block over GF(2^8), terms per stripe over F_257, default helpers
     code = build_sparse_systematic(n, k, d, field=field_of_order(q))
     helpers = [[i for i in range(n) if i != failed][:d] for failed in range(n)]
-    assert [kernel_cost(code.repair_program(f, h)[1]) for f, h in enumerate(helpers)] == costs
+    assert [kernel_cost(code.helper_plan(f, h).program) for f, h in enumerate(helpers)] == costs
 
 
 @pytest.mark.parametrize("failed, line", [
@@ -251,14 +276,14 @@ def test_repair_plan_costs_and_choice(name):
     helper_costs, rebuild_costs = PLAN_COSTS[name]
     for failed in range(p.n):
         others = [i for i in range(p.n) if i != failed]
-        rows, program = code.repair_program(failed, others[: p.d])
-        assert (p.d * len(rows), kernel_cost(program)) == helper_costs[failed], failed
-        assert (p.B, kernel_cost(code.rebuild_program(failed, others[: p.k]))) == rebuild_costs[failed], failed
+        helper = code.helper_plan(failed, others[: p.d])
+        assert (p.d * len(helper.rows), kernel_cost(helper.program)) == helper_costs[failed], failed
+        assert (p.B, kernel_cost(code.rebuild_plan(failed, others[: p.k]).program)) == rebuild_costs[failed], failed
         plan = code.repair_plan(failed, range(p.n))
         assert plan.rebuild == (failed not in CODES[name][1])
         assert (plan.symbols, kernel_cost(plan.program)) == min(helper_costs[failed], rebuild_costs[failed])
         assert plan.nodes == tuple(others[: p.k] if plan.rebuild else others[: p.d])
-        assert plan.rows == (tuple(range(p.alpha)) if plan.rebuild else rows)
+        assert plan.rows == (tuple(range(p.alpha)) if plan.rebuild else helper.rows)
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
@@ -270,21 +295,21 @@ def test_rebuild_program_is_decode_then_generator_rows(name):
     for failed in range(p.n):
         others = [i for i in range(p.n) if i != failed]
         if failed >= p.k:  # from nodes 0..k-1 the decode is copies: the node's own generator rows
-            assert code.rebuild_program(failed, range(p.k)) == code.node_block(failed)
+            assert code.rebuild_plan(failed, range(p.k)).program == code.node_block(failed)
         ids = sorted(rng.sample(others, p.k))
         expected = code.node_block(failed) @ (code.decode_program(ids) @ identity)
-        assert code.rebuild_program(failed, ids) @ identity == expected, (failed, ids)
+        assert code.rebuild_plan(failed, ids).program @ identity == expected, (failed, ids)
     stored = encode_stripes(code, random_stripes(p.field, p.B, 45, seed=6))
     ids = list(range(p.n - p.k, p.n))
     rows = np.vstack([stored[i * p.alpha : (i + 1) * p.alpha] for i in ids])
-    assert np.array_equal(analysis.rebuild_stripes(code, 0, ids, rows), stored[: p.alpha])
+    assert np.array_equal(apply_rows_bulk(p.field, code.rebuild_plan(0, ids).program, rows), stored[: p.alpha])
 
 
 def test_a_tie_in_reads_goes_to_the_lower_kernel_cost(monkeypatch):
     # [3,2,2]: alpha = 1, so two helpers and two nodes each read two symbols per stripe
     code = build_vanilla_systematic(3, 2, 2, field=field_of_order(256))
     plan = code.repair_plan(0, range(3))
-    rebuild = code.rebuild_program(0, [1, 2])
+    rebuild = code.rebuild_plan(0, [1, 2]).program
     assert (plan.rebuild, plan.symbols) == (False, 2)
     assert kernel_cost(plan.program) == kernel_cost(rebuild)  # equal cost too: the helpers
     monkeypatch.setattr(core, "kernel_cost", lambda program: 0 if program is rebuild else 1)
@@ -294,11 +319,11 @@ def test_a_tie_in_reads_goes_to_the_lower_kernel_cost(monkeypatch):
 def test_rebuild_and_plan_refuse_what_they_cannot_run():
     code = _build("rbt-8-4-6-gf256")
     with pytest.raises(BadCount, match="cannot help rebuild itself"):
-        code.rebuild_program(4, [1, 2, 3, 4])
+        code.rebuild_plan(4, [1, 2, 3, 4])
     with pytest.raises(IndexOutOfRange):
-        code.rebuild_program(8, [0, 1, 2, 3])
+        code.rebuild_plan(8, [0, 1, 2, 3])
     with pytest.raises(BadCount):
-        code.rebuild_program(7, [0, 1, 2])
+        code.rebuild_plan(7, [0, 1, 2])
     with pytest.raises(BadCount, match="need at least k=4 other nodes"):
         code.repair_plan(0, [0, 1, 2, 3])
     with pytest.raises(IndexOutOfRange):
@@ -350,12 +375,10 @@ def test_rebuild_runs_one_kernel_call_per_chunk(tmp_path, monkeypatch, name):
     desc, shards, (n, k, _, _) = encoded(tmp_path, name)
     code = code_from_descriptor(json.loads(desc.read_text()))
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", 256)
-    kernels = []
-    real = analysis.apply_rows_bulk
-    monkeypatch.setattr(analysis, "apply_rows_bulk", lambda f, mat, data: kernels.append(mat) or real(f, mat, data))
+    kernels = _counting_kernels(monkeypatch)
     assert run("repair", "--descriptor", desc, "--shard-dir", shards,
                "--failed", n - 1, "--out", tmp_path / "rebuilt.shard") == 0
-    program = code.rebuild_program(n - 1, range(k))
+    program = code.rebuild_plan(n - 1, range(k)).program
     width = analysis.chunk_stripes(code.params.field, program.inputs, program.rows)
     assert len(kernels) == -(-STRIPES // width) > 1
     assert all(m == program for m in kernels)

@@ -32,11 +32,9 @@ def test_analysis_names_resolve_on_first_use():
     out = run_fresh(
         "import pmcode\n"
         "from pmcode import SparsityReport\n"
-        "print(pmcode.certify.__module__, pmcode.encode_stripes.__module__,"
-        " pmcode.repair_stripes.__module__, pmcode.decode_stripes.__module__,"
-        " SparsityReport.__module__)"
+        "print(pmcode.certify.__module__, pmcode.encode_stripes.__module__, SparsityReport.__module__)"
     )
-    assert out == " ".join(["pmcode.analysis"] * 5)
+    assert out == " ".join(["pmcode.analysis"] * 3)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

@@ -14,7 +14,7 @@ import pytest
 
 import pmcode
 from pmcode import analysis, cli, core
-from pmcode.analysis import chunk_stripes, decode_stripes, encode_stripes, random_stripes, repair_stripes
+from pmcode.analysis import apply_rows_bulk, chunk_stripes, encode_stripes, random_stripes
 from pmcode.cli import main, shard_name
 from pmcode.construct import build_sparse_systematic
 from pmcode.core import LinearCode
@@ -91,8 +91,8 @@ def test_bulk_methods_match_per_stripe_paths(q):
         return rows[i * p.alpha : (i + 1) * p.alpha]
 
     failed, helpers = 6, [0, 2, 3, 4, 5, 7]
-    selected, _ = code.repair_program(failed, helpers)
-    rebuilt = repair_stripes(code, failed, helpers, np.vstack([node_rows(h)[list(selected)] for h in helpers]))
+    plan = code.helper_plan(failed, helpers)
+    rebuilt = apply_rows_bulk(p.field, plan.program, np.vstack([node_rows(h)[list(plan.rows)] for h in helpers]))
     assert np.array_equal(rebuilt, node_rows(failed))
     rebuilt = symbols(p.field, rebuilt)
     for s, m in enumerate(columns):
@@ -100,7 +100,7 @@ def test_bulk_methods_match_per_stripe_paths(q):
         assert list(bundle.rebuilt) == [int(x) for x in rebuilt[:, s]]
 
     ids = [1, 4, 6, 7]
-    message = decode_stripes(code, ids, np.vstack([node_rows(i) for i in ids]))
+    message = apply_rows_bulk(p.field, code.decode_program(ids), np.vstack([node_rows(i) for i in ids]))
     assert np.array_equal(message, data)
     for s, m in enumerate(columns):
         rows = [[int(x) for x in node_rows(i, stored_symbols)[:, s]] for i in ids]
@@ -109,24 +109,22 @@ def test_bulk_methods_match_per_stripe_paths(q):
 
 def test_bulk_matrices_are_built_once_per_node_set(monkeypatch):
     code = build_sparse_systematic(8, 4, 6, field=field_of_order(256))
-    p = code.params
     calls = []
     real = type(code).repair_matrix
     monkeypatch.setattr(type(code), "repair_matrix", lambda self, f, h: calls.append(f) or real(self, f, h))
-    rows = random_stripes(p.field, p.d, 5, seed=1)  # node 0 repairs by transfer: one row per helper
     for _ in range(3):
-        repair_stripes(code, 0, [1, 2, 3, 4, 5, 6], rows)
+        code.helper_plan(0, [1, 2, 3, 4, 5, 6])
     assert calls == [0]
-    repair_stripes(code, 0, [1, 2, 3, 4, 5, 7], rows)
+    code.helper_plan(0, [1, 2, 3, 4, 5, 7])
     assert calls == [0, 0]
+    assert len({id(code.helper_plan(0, [1, 2, 3, 4, 5, 6])) for _ in range(3)}) == 1
     eliminations = []
     real_elimination = core.elimination_program
     monkeypatch.setattr(core, "elimination_program", lambda block: eliminations.append(1) or real_elimination(block))
-    rows = random_stripes(p.field, p.B, 5, seed=2)
     for _ in range(3):
-        decode_stripes(code, [4, 5, 6, 7], rows)
+        code.decode_program([4, 5, 6, 7])
     assert len(eliminations) == 1
-    decode_stripes(code, [3, 5, 6, 7], rows)
+    code.decode_program([3, 5, 6, 7])
     assert len(eliminations) == 2
     assert len({id(code.decode_program([4, 5, 6, 7])) for _ in range(3)}) == 1
 

@@ -9,16 +9,20 @@ checked against ``packet_oracle`` over GF(2^8) and against the exact matrix
 product over the prime field; every repair and decode must give back the
 encoded rows and the data.  One stripe also goes through the exact
 per-stripe path: ``run_repair``, each chosen plan's program, and ``decode``.
-rbt builds only d = 2k-2 and must refuse every other d.
+rbt builds only d = 2k-2 and must refuse every other d.  A seeded
+``hypothesis`` sample takes the same checks to codes of up to 16 nodes, for
+one drawn node and one drawn set of k nodes each.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcode import analysis
-from pmcode.analysis import apply_rows_bulk, decode_stripes, encode_stripes, random_stripes, repair_stripes
+from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes
 from pmcode.construct import build_rbt_systematic, build_sparse_systematic, build_vanilla_systematic
 from pmcode.core import random_message
 from pmcode.errors import InvalidRegime
@@ -44,7 +48,9 @@ def _exact(field, mat, data: np.ndarray) -> np.ndarray:
     return np.array((mat @ Matrix(field, data.tolist())).data, dtype=np.int64)
 
 
-def _check_code(code, seed):
+def _check_code(code, seed, nodes=None, decodes=None):
+    """The checks above, repairing each of ``nodes`` (every node by default) and decoding from each of
+    ``decodes`` (by default the first k nodes, the last k and a seeded draw)."""
     p = code.params
     n, k, d, alpha, field = p.n, p.k, p.d, p.alpha, p.field
     data = random_stripes(field, p.B, STRIPES, seed=seed)
@@ -55,11 +61,11 @@ def _check_code(code, seed):
     message = random_message(p, rng)
     exact = code.stored_rows(message)
 
-    for failed in range(n):
+    for failed in range(n) if nodes is None else nodes:
         others = [i for i in range(n) if i != failed]
-        rows, helper_program = code.repair_program(failed, others[:d])
-        helper = (d * len(rows), kernel_cost(helper_program))
-        rebuild = (p.B, kernel_cost(code.rebuild_program(failed, others[:k])))
+        helper_plan = code.helper_plan(failed, others[:d])
+        helper = (d * len(helper_plan.rows), kernel_cost(helper_plan.program))
+        rebuild = (p.B, kernel_cost(code.rebuild_plan(failed, others[:k]).program))
         plan = code.repair_plan(failed, range(n))
         assert plan.rebuild == (rebuild < helper), (failed, helper, rebuild)
         assert (plan.symbols, kernel_cost(plan.program)) == min(helper, rebuild)
@@ -69,13 +75,14 @@ def _check_code(code, seed):
         assert [r[0] for r in (plan.program @ column).data] == exact[failed], failed
 
         helpers = sorted(rng.sample(others, d))
-        selected, _ = code.repair_program(failed, helpers)
-        sent = np.vstack([node(h)[list(selected)] for h in helpers])
-        assert np.array_equal(repair_stripes(code, failed, helpers, sent), node(failed)), (failed, helpers)
+        helper_plan = code.helper_plan(failed, helpers)
+        sent = np.vstack([node(h)[list(helper_plan.rows)] for h in helpers])
+        assert np.array_equal(apply_rows_bulk(field, helper_plan.program, sent), node(failed)), (failed, helpers)
         assert list(code.run_repair(exact, failed, helpers).rebuilt) == exact[failed]
 
-    for ids in (list(range(k)), list(range(n - k, n)), sorted(rng.sample(range(n), k))):
-        assert np.array_equal(decode_stripes(code, ids, np.vstack([node(i) for i in ids])), data), ids
+    for ids in decodes or (list(range(k)), list(range(n - k, n)), sorted(rng.sample(range(n), k))):
+        rows = np.vstack([node(i) for i in ids])
+        assert np.array_equal(apply_rows_bulk(field, code.decode_program(ids), rows), data), ids
         assert code.decode(ids, [exact[i] for i in ids]) == message, ids
 
 
@@ -97,3 +104,28 @@ def test_every_small_code_repairs_and_decodes_through_the_bulk_path(n, construct
     # every d in 2k-2..n-1 builds, except rbt, which builds only d = 2k-2
     expected = sum(1 for k in range(2, n) for d in range(2 * k - 2, n) if construction != "rbt" or d == 2 * k - 2)
     assert built == expected
+
+
+@st.composite
+def code_choices(draw):
+    """(construction, n, k, d, q) with 3 <= n <= 16, 2 <= k and 2k-2 <= d <= n-1; q None is the default prime."""
+    n = draw(st.integers(3, 16))
+    k = draw(st.integers(2, (n + 1) // 2))
+    d = draw(st.integers(2 * k - 2, n - 1))
+    return draw(st.sampled_from(sorted(BUILDERS))), n, k, d, draw(st.sampled_from([256, None]))
+
+
+# 80 examples build 73 codes, 40 of them with n >= 10, and refuse 7: about 4 s on a 2 vCPU Xeon
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(code_choices(), st.data())
+def test_a_sample_of_codes_up_to_16_nodes_repairs_and_decodes_through_the_bulk_path(choice, data):
+    construction, n, k, d, q = choice
+    field = field_of_order(q) if q else None
+    if construction == "rbt" and d != 2 * k - 2:
+        with pytest.raises(InvalidRegime):
+            build_rbt_systematic(n, k, d, field=field)
+        return
+    code = BUILDERS[construction](n, k, d, field=field)
+    failed = data.draw(st.integers(0, n - 1), label="failed")
+    ids = sorted(data.draw(st.permutations(range(n)), label="order")[:k])
+    _check_code(code, seed=n * 100 + k * 10 + d, nodes=[failed], decodes=[ids])
