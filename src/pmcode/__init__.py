@@ -81,8 +81,8 @@ from .construct import (
 
 __version__ = "0.1.0"
 
-# analysis imports numpy, so its names load on first use (PEP 562) and
-# ``import pmcode`` itself stays numpy-free.
+# analysis imports numpy, so its names, and those of report that it resolves
+# in turn, load on first use (PEP 562) and ``import pmcode`` stays numpy-free.
 _ANALYSIS_NAMES = frozenset({
     "BenchResult",
     "CertificationRecord",

@@ -52,7 +52,11 @@ that the last stripe's bytes past the payload length decode to zero.  The
 field arithmetic is ``analysis.encode_stripes`` and, on each chunk that
 ``_stream_rows`` reads, ``analysis.apply_rows_bulk`` with the repair plan's
 program or ``LinearCode.decode_program``; this module does file I/O and
-argument handling.
+argument handling.  Each bulk command allocates its buffers once, for its
+first and widest chunk, and each chunk is a column slice of them.
+Prime-field symbols are read into native uint32 rows, byte-swapped in
+place and range-checked as unsigned numbers.  Only ``certify``,
+``analyze`` and ``bench`` import ``pmcode.report``.
 """
 
 from __future__ import annotations
@@ -76,13 +80,11 @@ import numpy as np
 
 from .analysis import (
     apply_rows_bulk,
-    benchmark_pair,
-    certify,
     chunk_stripes,
     encode_stripes,
+    kernel_dtype,
     shard_dtype,
     shard_layout,
-    sparsity_report,
     underlying_encoding,
 )
 from .construct import (
@@ -310,10 +312,16 @@ def _read_header(fd: int, path, digest: bytes, field, alpha: int) -> tuple[int, 
 
 
 def _read_rows(fd: int, path, out: np.ndarray, stripes: int, s0: int, field, rows) -> None:
-    """Fill ``out`` (len(rows) x w, symbol dtype) with stripes s0..s0+w of the stored ``rows``."""
+    """Fill ``out`` (len(rows) x w, native symbol dtype) with stripes s0..s0+w of the stored ``rows``.
+
+    Prime-field symbols are stored big-endian: they are swapped in place
+    and must be below q as unsigned numbers.
+    """
     size = out.itemsize
     for i, r in enumerate(rows):
         _pread_into(fd, memoryview(out[i].view(np.uint8)), _HEADER.size + (r * stripes + s0) * size, path)
+    if out.dtype != shard_dtype(field):
+        out.byteswap(inplace=True)
     if field.kind != "binary8" and out.max(initial=0) >= field.q:
         raise CliError(f"{path}: symbol out of field range")
 
@@ -322,11 +330,22 @@ def _write_header(fd: int, digest: bytes, node: int, stripes: int, payload_len: 
     _pwrite_all(fd, memoryview(_HEADER.pack(MAGIC, digest, node, stripes, payload_len)), 0)
 
 
-def _write_rows(fd: int, rows: np.ndarray, stripes: int, s0: int, field) -> None:
-    """Store ``rows`` (alpha x w) as stripes s0..s0+w of each stored row."""
-    body = np.ascontiguousarray(rows, dtype=shard_dtype(field))  # copies only to convert
-    for r in range(body.shape[0]):
-        _pwrite_all(fd, memoryview(body[r].view(np.uint8)), _HEADER.size + (r * stripes + s0) * body.itemsize)
+def _write_rows(fd: int, rows: np.ndarray, stripes: int, s0: int, stage: np.ndarray) -> None:
+    """Store ``rows`` (alpha x w) as stripes s0..s0+w of each stored row.
+
+    A row not in the stored dtype is first converted into ``stage``, a reused row of >= w symbols.
+    """
+    w = rows.shape[1]
+    for r, row in enumerate(rows):
+        if row.dtype != stage.dtype:
+            stage[:w] = row
+            row = stage[:w]
+        _pwrite_all(fd, memoryview(row.view(np.uint8)), _HEADER.size + (r * stripes + s0) * row.itemsize)
+
+
+def _chunk_width(field, mat, stripes: int) -> int:
+    """Stripes in each chunk a command passes ``mat``: ``chunk_stripes``, or all when fewer."""
+    return min(chunk_stripes(field, mat.inputs, mat.rows), stripes)
 
 
 @contextmanager
@@ -415,14 +434,24 @@ def _stream_rows(sources, rows, params, stripes: int, program):
     The program's inputs are those rows of every source, stacked in order,
     and each chunk holds as many stripes as ``chunk_stripes`` allows for its
     inputs plus all its rows: one ``apply_rows_bulk`` call per chunk.  Each
-    byte of a selected row is read once, and no other row is read.
+    byte of a selected row is read once, and no other row is read.  Each
+    chunk is a column slice of one input and one output buffer, so the next
+    chunk overwrites its outputs, and the kernel keeps its work arrays in
+    one ``work`` dict.  Prime-field symbols reach the kernel as an int32
+    view of the uint32 rows read, when it computes in int32.
     """
-    width = chunk_stripes(params.field, program.inputs, program.rows)
+    field = params.field
+    width = _chunk_width(field, program, stripes)
+    stored = np.empty((program.inputs, width), dtype=shard_dtype(field).newbyteorder("="))
+    dtype = kernel_dtype(field)
+    inputs = stored.view(dtype) if dtype.itemsize == stored.itemsize else stored
+    outputs = np.empty((len(program.outputs), width), dtype=dtype)
+    work = {}
     for s0 in range(0, stripes, width):
-        chunk = np.empty((len(sources), len(rows), min(width, stripes - s0)), dtype=shard_dtype(params.field))
-        for out, (path, fd) in zip(chunk, sources):
-            _read_rows(fd, path, out, stripes, s0, params.field, rows)
-        yield s0, apply_rows_bulk(params.field, program, chunk.reshape(-1, chunk.shape[2]))
+        w = min(width, stripes - s0)
+        for i, (path, fd) in enumerate(sources):
+            _read_rows(fd, path, stored[i * len(rows) : (i + 1) * len(rows), :w], stripes, s0, field, rows)
+        yield s0, apply_rows_bulk(field, program, inputs[:, :w], out=outputs[:, :w], work=work)
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -485,15 +514,27 @@ def cmd_encode(args) -> int:
         shards = [stack.enter_context(_atomic_output(out / shard_name(i))) for i in range(p.n)]
         for i, fd in enumerate(shards):
             _write_header(fd, digest, i, stripes, size)
-        width = chunk_stripes(p.field, p.B, p.n * p.alpha)
+        width = _chunk_width(p.field, code.generator, stripes)
+        chunk = np.empty((width, p.B), dtype=np.uint8)
+        dtype = kernel_dtype(p.field)
+        wide = np.empty((p.B, width), dtype=dtype) if dtype != chunk.dtype else None
+        rows = np.empty((p.n * p.alpha, width), dtype=dtype)
+        stage = np.empty(width, dtype=shard_dtype(p.field))
+        work = {}
         for s0 in range(0, stripes, width):
-            chunk = np.zeros((min(width, stripes - s0), p.B), dtype=np.uint8)  # zeros pad the last stripe
-            want = min(chunk.size, size - s0 * p.B)
-            if want > 0 and src.readinto(memoryview(chunk.reshape(-1))[:want]) != want:
+            w = min(width, stripes - s0)
+            data = chunk[:w].reshape(-1)
+            want = min(data.size, size - s0 * p.B)
+            if want > 0 and src.readinto(memoryview(data)[:want]) != want:
                 raise CliError(f"{args.data}: file changed while being encoded")
-            rows = encode_stripes(code, chunk.T)
+            data[want:] = 0  # zeros pad the last stripe
+            message = chunk[:w].T
+            if wide is not None:  # prime symbols, widened to the kernel's dtype
+                wide[:, :w] = message
+                message = wide[:, :w]
+            encoded = encode_stripes(code, message, out=rows[:, :w], work=work)
             for i, fd in enumerate(shards):
-                _write_rows(fd, rows[i * p.alpha : (i + 1) * p.alpha], stripes, s0, p.field)
+                _write_rows(fd, encoded[i * p.alpha : (i + 1) * p.alpha], stripes, s0, stage)
     print(f"encoded {size} bytes into {p.n} shards of {stripes} stripes in {out}")
     return 0
 
@@ -518,8 +559,9 @@ def cmd_repair(args) -> int:
         _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(out))
         _write_header(fd, digest, failed, stripes, payload_len)
+        stage = np.empty(_chunk_width(p.field, plan.program, stripes), dtype=shard_dtype(p.field))
         for s0, rows in _stream_rows(sources, plan.rows, p, stripes, plan.program):
-            _write_rows(fd, rows, stripes, s0, p.field)
+            _write_rows(fd, rows, stripes, s0, stage)
     nodes = ",".join(str(i) for i in plan.nodes)
     if plan.rebuild:
         selected = sum(1 for c in code.repair_vector(failed) if c)
@@ -553,10 +595,13 @@ def cmd_decode(args) -> int:
         sources, stripes, payload_len = _open_nodes(stack, args.shard_dir, shards, ids, digest, p, "node")
         _refuse_overwriting(args.out, args.descriptor, sources)
         fd = stack.enter_context(_atomic_output(args.out))
+        stripe_bytes = np.empty((_chunk_width(p.field, program, stripes), p.B), dtype=np.uint8)
         for s0, message in _stream_rows(sources, range(p.alpha), p, stripes, program):
             if message.max(initial=0) > 255:
                 raise CliError("decoded symbols exceed byte range; shards are inconsistent")
-            data = np.ascontiguousarray(message.T, dtype=np.uint8).reshape(-1)
+            data = stripe_bytes[: message.shape[1]]
+            data[...] = message.T
+            data = data.reshape(-1)
             # the header check makes this positive for all but an empty payload
             valid = payload_len - s0 * p.B
             if data[valid:].any():
@@ -568,6 +613,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .report import certify
     code = _code_from_selection(args)
     record = certify(code, seed=args.seed)
     if args.tsv:
@@ -578,6 +624,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .report import sparsity_report
     code = _code_from_selection(args)
     report = sparsity_report(code)
     if args.tsv:
@@ -592,6 +639,7 @@ def cmd_bench(args) -> int:
         raise CliError(f"--reps must be at least 1, got {args.reps}")
     if not 0 < args.mib < float("inf"):
         raise CliError(f"--mib must be a finite positive size, got {args.mib}")
+    from .report import benchmark_pair
     field = _field_from_args(args)
     sparse = build_sparse_systematic(args.n, args.k, args.d, field=field)
     dense = build_vanilla_systematic(args.n, args.k, args.d, field=field)

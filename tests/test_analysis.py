@@ -6,18 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from pmcode import analysis, cli
-from pmcode.analysis import (
+from pmcode import analysis, cli, report
+from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes, underlying_encoding
+from pmcode.report import (
     BenchResult,
-    apply_rows_bulk,
     benchmark_pair,
     certify,
-    encode_stripes,
     parity_nonzeros,
     predicted_speedup,
-    random_stripes,
     sparsity_report,
-    underlying_encoding,
 )
 from pmcode.construct import (
     build_sparse_systematic,
@@ -100,7 +97,7 @@ def test_certify_passes_exhaustively_on_small_code():
 
 
 def test_certify_decodes_every_subset_only_when_the_budget_covers_them(monkeypatch):
-    monkeypatch.setattr(analysis, "DECODES", 70)
+    monkeypatch.setattr(report, "DECODES", 70)
     row = {c.name: c for c in certify(build_sparse_systematic(8, 4, 6)).checks}["decode-roundtrip"]
     assert (row.mode, row.cases, row.ok) == ("exhaustive", 70, True)
 
@@ -108,7 +105,7 @@ def test_certify_decodes_every_subset_only_when_the_budget_covers_them(monkeypat
 def test_certify_sampled_mode(monkeypatch):
     for name, value in [("PROPERTY_LIMIT", 10), ("PROPERTY_SAMPLES", 6), ("SUBSET_LIMIT", 10),
                         ("SUBSET_SAMPLES", 8), ("DECODES", 4), ("REPAIR_LIMIT", 10), ("REPAIR_SAMPLES", 5)]:
-        monkeypatch.setattr(analysis, name, value)
+        monkeypatch.setattr(report, name, value)
     code = build_sparse_systematic(12, 6, 10)
     record = certify(code, seed=3)
     assert record.passed
@@ -365,7 +362,7 @@ def test_apply_rows_bulk_large_prime_modulus():
 def test_apply_rows_bulk_prime_accumulators_do_not_overflow(q):
     # every term at its largest, (q-1)^2, on rows long enough to need reducing
     field = field_of_order(q)
-    assert analysis._prime_dtype(q) == (np.int64 if q == 46349 else np.int32)
+    assert analysis.kernel_dtype(field) == (np.int64 if q == 46349 else np.int32)
     cols = 300
     mat = Matrix(field, [[q - 1] * cols, [1] * cols, [q - 1, 0] * (cols // 2)])
     data = np.full((cols, 3), q - 1, dtype=np.int64)
@@ -404,8 +401,8 @@ def test_benchmark_pair_alternates_its_reps(monkeypatch):
     sparse = build_sparse_systematic(8, 4, 6, field=field_of_order(256))
     dense = build_vanilla_systematic(8, 4, 6, field=field_of_order(256))
     order = []
-    real = analysis.encode_stripes
-    monkeypatch.setattr(analysis, "encode_stripes", lambda code, *a: order.append(code) or real(code, *a))
+    real = report.encode_stripes
+    monkeypatch.setattr(report, "encode_stripes", lambda code, *a: order.append(code) or real(code, *a))
     rs, rd, _, _ = benchmark_pair(sparse, dense, workload_mib=0.01, reps=3, seed=2)
     assert order == [sparse, dense] * 4  # one warmup each, then the reps in turn
     assert (rs.reps, rd.reps, rs.stripes) == (3, 3, rd.stripes)

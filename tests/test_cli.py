@@ -640,7 +640,7 @@ def test_an_output_that_cannot_be_written_is_reported_by_its_given_path(
     (tmp_path / "outdir").mkdir()
     out = tmp_path / target
     kernels, real = [], cli.apply_rows_bulk
-    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *args: kernels.append(args) or real(*args))
+    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *args, **kw: kernels.append(args) or real(*args, **kw))
     argv = ("--nodes", "0,1,2,3") if command == "decode" else ("--failed", 7)
     assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv, "--out", out) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"

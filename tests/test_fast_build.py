@@ -9,7 +9,7 @@ same matrices and a passing exhaustive report.
 
 import pytest
 
-from pmcode.analysis import certify
+from pmcode.report import certify
 from pmcode.cli import code_from_descriptor, descriptor_for, generation_artifacts
 from pmcode.construct import build_sparse_systematic, choose_prime_encoding, sparsify_encoding
 from pmcode.core import build_params, build_vandermonde_encoding, validate_properties

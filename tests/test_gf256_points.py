@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from pmcode import analysis
-from pmcode.analysis import certify, underlying_encoding
+from pmcode import report
+from pmcode.analysis import underlying_encoding
 from pmcode.cli import main, shard_name
 from pmcode.construct import build_sparse_systematic, build_vanilla_systematic
 from pmcode.core import build_params, build_vandermonde_encoding
@@ -57,8 +57,8 @@ def test_codes_without_a_working_run_build_from_new_powers_and_certify(monkeypat
     # properties 1 and 2 hold by construction for distinct nonzero points
     # (tests/test_fast_build.py); sampling them keeps certify to seconds, where
     # the exhaustive property-2 check of [25,11,20] alone takes about 8 s
-    monkeypatch.setattr(analysis, "PROPERTY_LIMIT", 0)
-    record = certify(code)
+    monkeypatch.setattr(report, "PROPERTY_LIMIT", 0)
+    record = report.certify(code)
     assert record.passed, record.to_text()
     assert {c.name for c in record.checks} >= {"property-3", "decode-roundtrip", "repair-exact"}
 

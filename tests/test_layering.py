@@ -1,11 +1,14 @@
-"""The package's layers, read from its source: who imports numpy and ``pmcode.analysis``,
-and which modules each module may import.
+"""The package's layers, read from its source: who imports numpy, ``pmcode.analysis``
+and ``pmcode.report``, and which modules each module may import.
 
 The exact-math modules (``core`` and the rest) stay pure Python; the numpy
-bulk path is ``analysis``, which only the command line and the lazy-name
-hook (``__getattr__``) of ``__init__`` load.  Each module imports only the
-modules below it in ``LAYERS``; ``__init__`` is exempt.  Imports inside
-functions count.
+bulk path is ``analysis``, which only ``report``, the command line and the
+lazy-name hook (``__getattr__``) of ``__init__`` load.  ``report`` is
+loaded only by the command line's reporting commands and by the lazy-name
+hook of ``analysis``, so the bulk commands never load it.  Each module
+imports only the modules below it in ``LAYERS``; ``__init__`` is exempt,
+and so is the one upward import, ``analysis``'s hook for the names that
+moved to ``report``.  Imports inside functions count.
 """
 
 import ast
@@ -51,13 +54,19 @@ def users_of(module: str) -> set[str]:
     return users
 
 
-def test_only_analysis_and_cli_import_numpy_and_only_cli_and_the_hook_import_analysis():
+def test_only_analysis_and_cli_import_numpy_and_only_report_cli_and_the_hook_import_analysis():
     assert users_of("numpy") == {"analysis.py", "cli.py"}
-    assert users_of("pmcode.analysis") == {"cli.py", "__init__.py:__getattr__"}
+    assert users_of("pmcode.analysis") == {"report.py", "cli.py", "__init__.py:__getattr__"}
+
+
+def test_only_the_reporting_commands_and_the_hooks_import_report():
+    assert users_of("pmcode.report") == {
+        "cli.py:cmd_certify", "cli.py:cmd_analyze", "cli.py:cmd_bench", "analysis.py:__getattr__",
+    }
 
 
 # bottom to top: each module imports only the modules before it
-LAYERS = ("errors", "field", "linalg", "core", "systematic", "construct", "analysis", "cli")
+LAYERS = ("errors", "field", "linalg", "core", "systematic", "construct", "analysis", "report", "cli")
 
 
 def test_each_module_imports_only_the_layers_below_it():
@@ -69,4 +78,4 @@ def test_each_module_imports_only_the_layers_below_it():
             parts = name.split(".")
             if parts[0] == "pmcode" and len(parts) > 1 and parts[1] not in LAYERS[:layer]:
                 upward.add(f"{module}.py:{func} imports pmcode.{parts[1]}")
-    assert upward == set()
+    assert upward == {"analysis.py:__getattr__ imports pmcode.report"}

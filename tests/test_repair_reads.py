@@ -75,7 +75,7 @@ def _counting_kernels(monkeypatch):
     """The matrix or program of each kernel call the command line makes, in order."""
     kernels = []
     real = cli.apply_rows_bulk
-    monkeypatch.setattr(cli, "apply_rows_bulk", lambda f, mat, data: kernels.append(mat) or real(f, mat, data))
+    monkeypatch.setattr(cli, "apply_rows_bulk", lambda f, mat, data, **kw: kernels.append(mat) or real(f, mat, data, **kw))
     return kernels
 
 

@@ -1,8 +1,9 @@
 """What importing the package and the CLI costs a fresh process.
 
-``import pmcode`` loads no numpy, and importing ``pmcode.cli`` keeps
-numpy's OpenBLAS from starting a thread pool that pmcode never uses.
-Each check runs in a fresh interpreter, since this one has numpy loaded.
+``import pmcode`` loads no numpy, importing ``pmcode.cli`` loads neither
+the reporting module nor ``statistics``, and it keeps numpy's OpenBLAS
+from starting a thread pool that pmcode never uses.  Each check runs in a
+fresh interpreter, since this one has numpy loaded.
 """
 
 import os
@@ -34,7 +35,22 @@ def test_analysis_names_resolve_on_first_use():
         "from pmcode import SparsityReport\n"
         "print(pmcode.certify.__module__, pmcode.encode_stripes.__module__, SparsityReport.__module__)"
     )
-    assert out == " ".join(["pmcode.analysis"] * 3)
+    assert out == "pmcode.report pmcode.analysis pmcode.report"
+
+
+def test_cli_import_loads_no_reporting_code():
+    out = run_fresh("import sys, pmcode.cli; print('pmcode.report' in sys.modules, 'statistics' in sys.modules)")
+    assert out == "False False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "5", "--k", "3", "--d", "4"],
+    ["analyze", "--n", "5", "--k", "3", "--d", "4"],
+    ["bench", "--n", "5", "--k", "3", "--d", "4", "--mib", "0.01", "--reps", "1"],
+], ids=["certify", "analyze", "bench"])
+def test_reporting_commands_load_the_reporting_code(argv):
+    out = run_fresh(f"import sys, pmcode.cli; print(pmcode.cli.main({argv!r}), 'pmcode.report' in sys.modules)")
+    assert out.splitlines()[-1] == "0 True"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

@@ -277,6 +277,66 @@ def test_repair_fails_in_last_chunk_without_output(tmp_path, monkeypatch, capsys
     assert _leftovers(shards) == []
 
 
+def _poke_stripe(path, alpha, stripe, value):
+    """Overwrite symbol ``stripe`` of every stored row (u32 big-endian), whichever rows a plan reads."""
+    raw = bytearray(path.read_bytes())
+    stripes = HEADER.unpack_from(raw)[3]
+    for r in range(alpha):
+        struct.pack_into(">I", raw, HEADER.size + 4 * (r * stripes + stripe), value)
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("value", [257, 0x80000000], ids=["q", "sign-bit"])
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_a_symbol_out_of_range_in_a_middle_chunk_is_refused(tmp_path, monkeypatch, capsys, command, value):
+    # the read and output buffers are reused chunk after chunk: every chunk is range-checked
+    desc, shards, p = _prime_cycle(tmp_path, monkeypatch)
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 512)
+    calls, real = [], cli.apply_rows_bulk
+    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *a, **kw: calls.append((a[2], kw)) or real(*a, **kw))
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    argv = [command, "--descriptor", desc, "--shard-dir", shards, "--out", out]
+    argv += ["--nodes", "0,1,2,3"] if command == "decode" else ["--failed", 7]
+    assert run(*argv) == 0
+    widths = [data.shape[1] for data, _ in calls]
+    assert len(widths) >= 5
+    # every chunk is a slice of one input and one output buffer, with one work dict
+    (data0, kw0), *rest = calls
+    assert data0.base is not None and kw0["out"].base is not None
+    assert all(data.base is data0.base and kw["out"].base is kw0["out"].base and kw["work"] is kw0["work"]
+               for data, kw in rest)
+    middle = sum(widths[: len(widths) // 2]) + 1  # a stripe of the middle chunk
+    out.unlink()
+    _poke_stripe(shards / shard_name(3), p.alpha, middle, value)
+    assert run(*argv) == 2
+    assert "symbol out of field range" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []  # no output, no temporary file
+    assert _leftovers(shards) == []
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_encode_pads_a_partial_last_chunk_with_zeros(tmp_path, monkeypatch, q):
+    # no byte of the input is zero, so a padding byte left over from an earlier chunk would show
+    gen = tmp_path / "code"
+    field_args = ["--gf256"] if q == 256 else ["--q", "257"]
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, *field_args, "--out-dir", gen) == 0
+    desc = gen / "descriptor.json"
+    code = cli.code_from_descriptor(cli.load_descriptor(desc)[0])
+    p = code.params
+    set_chunk(monkeypatch, p.field, p.B, p.n * p.alpha)
+    stripes = 3 * CHUNK + 2  # a last chunk of two stripes, the second partial
+    payload = bytes(1 + i % 255 for i in range(stripes * p.B - 5))
+    data, shards = tmp_path / "data.bin", tmp_path / "shards"
+    data.write_bytes(payload)
+    assert run("encode", "--descriptor", desc, "--data", data, "--out-dir", shards) == 0
+    message = np.frombuffer(payload + bytes(5), dtype=np.uint8).reshape(stripes, p.B).T
+    expected = encode_stripes(code, message if q == 256 else message.astype(np.int64))
+    for i in range(p.n):
+        assert np.array_equal(shard_rows(shards / shard_name(i), p.field, p.alpha)[3],
+                              expected[i * p.alpha : (i + 1) * p.alpha])
+
+
 def test_encode_failure_leaves_no_shards(tmp_path, monkeypatch, capsys):
     gen = tmp_path / "code"
     assert run("gen", "--n", 8, "--k", 4, "--d", 6, "--gf256", "--out-dir", gen) == 0
@@ -284,11 +344,11 @@ def test_encode_failure_leaves_no_shards(tmp_path, monkeypatch, capsys):
     data.write_bytes(bytes(500))
     calls = []
 
-    def failing_encode(code, chunk):
+    def failing_encode(code, chunk, **kw):
         calls.append(chunk.shape)
         if len(calls) == 3:
             raise cli.CliError("injected failure")
-        return encode_stripes(code, chunk)
+        return encode_stripes(code, chunk, **kw)
 
     monkeypatch.setattr(cli, "encode_stripes", failing_encode)
     set_chunk(monkeypatch, field_of_order(256), 12, 24)  # B=12, n*alpha=24
