@@ -1,4 +1,4 @@
-"""The bulk data path: one kernel per field family, and the shard symbol layout.
+"""The bulk data path: one kernel per field family.
 
 The bulk kernels here process whole stripe batches: one stripe is a column
 of a (B x S) array, and every generator row is accumulated term by term over
@@ -17,13 +17,9 @@ takes all their rows.  A decode applies no inverse: its program is a
 sparse elimination of the node rows (Markowitz's elimination form of the
 inverse), whose rows also read earlier rows, so it costs the nonzeros of
 the code's own rows after fill-in rather than those of their dense
-inverse.  The command-line encode, repair and decode paths call it on one
-chunk of ``chunk_stripes`` stripes at a time, into ``out`` buffers they
-allocate once per command, with one ``work`` dict that keeps the kernel's
-own work arrays from chunk to chunk.  ``shard_dtype`` gives the symbol
-type those chunks have on disk and ``kernel_dtype`` the one they are
-computed in.  The reports moved to ``pmcode.report``; their names resolve
-here too.
+inverse.  The command line calls it once per chunk of ``chunk_stripes``
+stripes, in ``kernel_dtype``.  The reports moved to ``pmcode.report``;
+their names resolve here too.
 """
 
 from __future__ import annotations
@@ -69,18 +65,6 @@ _CHUNK_BYTES = 4 << 20
 # about 1 us per call, so smaller packets spend their time in calls; a
 # streamed chunk is at least one block, so larger ones raise peak memory.
 PACKET = 4 << 10
-
-
-def shard_layout(field) -> dict:
-    """How a shard body lays out its symbols: the descriptor's ``layout``."""
-    if field.kind == "binary8":
-        return {"kind": "packets", "packet_bytes": PACKET}
-    return {"kind": "u32be"}
-
-
-def shard_dtype(field) -> np.dtype:
-    """The numpy dtype of one stored symbol in ``shard_layout(field)``."""
-    return np.dtype(np.uint8 if field.kind == "binary8" else ">u4")
 
 
 def kernel_dtype(field) -> np.dtype:

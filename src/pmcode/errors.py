@@ -77,3 +77,7 @@ class DesignMismatch(PmCodeError, ValueError):
 
 class BadShorteningIndex(PmCodeError, ValueError):
     """Shortening depth is negative or does not match the parent parameters."""
+
+
+class CliError(PmCodeError):
+    """A problem with command-line inputs or on-disk artifacts."""

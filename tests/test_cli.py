@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcode import cli
+from pmcode import shards as shard_format
 from pmcode.cli import (
     code_from_descriptor,
     load_descriptor,
@@ -94,7 +95,7 @@ def test_descriptor_with_a_seed_still_works_and_gen_takes_no_seed(tmp_path, caps
         assert run("encode", "--descriptor", path, "--data", data, "--out-dir", shard_dir) == 0
     for i in range(n):  # the same bodies; the headers hold the descriptor's digest
         a, b = ((shard_dir / shard_name(i)).read_bytes() for shard_dir in (plain_shards, shards))
-        assert a[cli._HEADER.size :] == b[cli._HEADER.size :]
+        assert a[shard_format.HEADER.size :] == b[shard_format.HEADER.size :]
 
     original = (shards / shard_name(n - 1)).read_bytes()
     (shards / shard_name(n - 1)).unlink()
@@ -524,7 +525,7 @@ def test_repair_checks_helpers_before_reading_shards(tmp_path, capsys, monkeypat
     def no_open(*args, **kwargs):
         raise AssertionError("a shard was opened before the helper list was checked")
 
-    monkeypatch.setattr(cli, "_open_nodes", no_open)
+    monkeypatch.setattr(shard_format, "open_nodes", no_open)
     assert run("repair", "--descriptor", desc_path, "--shard-dir", shards,
                "--failed", failed, "--helpers", helpers) == 2
     err = capsys.readouterr().err
@@ -662,8 +663,8 @@ def shard_heads(draw):
     alpha = draw(st.integers(1, 4))
     stripes = draw(st.integers(0, 64) | st.integers(0, 2**64 - 1))
     if draw(st.integers(0, 3)):
-        head = cli._HEADER.pack(
-            draw(st.sampled_from([cli.MAGIC] * 3 + [b"PMSHARD2"])),
+        head = shard_format.HEADER.pack(
+            draw(st.sampled_from([shard_format.MAGIC] * 3 + [b"PMSHARD2"])),
             draw(st.sampled_from([HEADER_DIGEST] * 3 + [bytes(32)])),
             draw(st.integers(0, 2**32 - 1)),
             stripes,
@@ -676,7 +677,7 @@ def shard_heads(draw):
             head = head[:at] + bytes([value]) + head[at + 1 :]
     if not draw(st.integers(0, 3)):
         head = head[: draw(st.integers(0, len(head)))]
-    fits = alpha * stripes * cli.shard_dtype(field).itemsize
+    fits = alpha * stripes * shard_format.shard_dtype(field).itemsize
     body = draw(st.integers(0, 4096) | (st.just(fits) if fits <= 4096 else st.nothing()))
     return field, alpha, head, body
 
@@ -690,9 +691,11 @@ def test_shard_header_parses_or_is_a_cli_error(case):
         f.truncate(len(head) + body)
         f.flush()
         try:
-            node, stripes, payload_len = cli._read_header(f.fileno(), "fuzz.shard", HEADER_DIGEST, field, alpha)
+            node, stripes, payload_len = shard_format.read_header(
+                f.fileno(), "fuzz.shard", HEADER_DIGEST, field, alpha)
         except cli.CliError:
             return
     # only a whole header of this descriptor, over the body its stripes need, parses
-    assert head[: cli._HEADER.size] == cli._HEADER.pack(cli.MAGIC, HEADER_DIGEST, node, stripes, payload_len)
-    assert len(head) + body == cli._HEADER.size + alpha * stripes * cli.shard_dtype(field).itemsize
+    header = shard_format.HEADER
+    assert head[: header.size] == header.pack(shard_format.MAGIC, HEADER_DIGEST, node, stripes, payload_len)
+    assert len(head) + body == header.size + alpha * stripes * shard_format.shard_dtype(field).itemsize

@@ -1,9 +1,12 @@
 """The package's layers, read from its source: who imports numpy, ``pmcode.analysis``
-and ``pmcode.report``, and which modules each module may import.
+and ``pmcode.report``, who touches the shard format, and which modules each module
+may import.
 
 The exact-math modules (``core`` and the rest) stay pure Python; the numpy
-bulk path is ``analysis``, which only ``report``, the command line and the
-lazy-name hook (``__getattr__``) of ``__init__`` load.  ``report`` is
+bulk path is ``analysis``, which only ``shards``, ``report``, the command
+line and the lazy-name hook (``__getattr__``) of ``__init__`` load.  Only
+``shards`` reads or writes shard bytes: no other module packs a ``struct``
+or calls ``os.pread``, ``os.preadv`` or ``os.pwrite``.  ``report`` is
 loaded only by the command line's reporting commands and by the lazy-name
 hook of ``analysis``, so the bulk commands never load it.  Each module
 imports only the modules below it in ``LAYERS``; ``__init__`` is exempt,
@@ -54,9 +57,9 @@ def users_of(module: str) -> set[str]:
     return users
 
 
-def test_only_analysis_and_cli_import_numpy_and_only_report_cli_and_the_hook_import_analysis():
-    assert users_of("numpy") == {"analysis.py", "cli.py"}
-    assert users_of("pmcode.analysis") == {"report.py", "cli.py", "__init__.py:__getattr__"}
+def test_only_analysis_shards_and_cli_import_numpy_and_only_shards_report_cli_and_the_hook_import_analysis():
+    assert users_of("numpy") == {"analysis.py", "shards.py", "cli.py"}
+    assert users_of("pmcode.analysis") == {"shards.py", "report.py", "cli.py", "__init__.py:__getattr__"}
 
 
 def test_only_the_reporting_commands_and_the_hooks_import_report():
@@ -66,7 +69,7 @@ def test_only_the_reporting_commands_and_the_hooks_import_report():
 
 
 # bottom to top: each module imports only the modules before it
-LAYERS = ("errors", "field", "linalg", "core", "systematic", "construct", "analysis", "report", "cli")
+LAYERS = ("errors", "field", "linalg", "core", "systematic", "construct", "analysis", "shards", "report", "cli")
 
 
 def test_each_module_imports_only_the_layers_below_it():
@@ -79,3 +82,19 @@ def test_each_module_imports_only_the_layers_below_it():
             if parts[0] == "pmcode" and len(parts) > 1 and parts[1] not in LAYERS[:layer]:
                 upward.add(f"{module}.py:{func} imports pmcode.{parts[1]}")
     assert upward == {"analysis.py:__getattr__ imports pmcode.report"}
+
+
+SHARD_IO = {"os.pread", "os.preadv", "os.pwrite"}
+
+
+def test_only_shards_reads_or_writes_shard_bytes():
+    """Who calls ``os.pread``, ``os.preadv`` or ``os.pwrite``, or imports ``struct``."""
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if any(name == "struct" or name.startswith("struct.") for name, _ in imports(tree)):
+            users.add(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in SHARD_IO:
+                users.add(path.name)
+    assert users == {"shards.py"}

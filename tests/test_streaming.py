@@ -286,26 +286,36 @@ def _poke_stripe(path, alpha, stripe, value):
     path.write_bytes(raw)
 
 
+def _spy_kernel(monkeypatch):
+    """(matrix or program, input, keyword arguments) of each kernel call the command line makes."""
+    calls, real = [], cli.apply_rows_bulk
+    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *a, **kw: calls.append((a[1], a[2], kw)) or real(*a, **kw))
+    return calls
+
+
+def _assert_one_set_of_buffers(calls):
+    """Every chunk slices one input and one output buffer, with one work dict."""
+    (_, data0, kw0), *rest = calls
+    assert data0.base is not None and kw0["out"].base is not None
+    assert all(data.base is data0.base and kw["out"].base is kw0["out"].base and kw["work"] is kw0["work"]
+               for _, data, kw in rest)
+
+
 @pytest.mark.parametrize("value", [257, 0x80000000], ids=["q", "sign-bit"])
 @pytest.mark.parametrize("command", ["decode", "repair"])
 def test_a_symbol_out_of_range_in_a_middle_chunk_is_refused(tmp_path, monkeypatch, capsys, command, value):
     # the read and output buffers are reused chunk after chunk: every chunk is range-checked
     desc, shards, p = _prime_cycle(tmp_path, monkeypatch)
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", 512)
-    calls, real = [], cli.apply_rows_bulk
-    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *a, **kw: calls.append((a[2], kw)) or real(*a, **kw))
+    calls = _spy_kernel(monkeypatch)
     out = tmp_path / "out" / "result"
     out.parent.mkdir()
     argv = [command, "--descriptor", desc, "--shard-dir", shards, "--out", out]
     argv += ["--nodes", "0,1,2,3"] if command == "decode" else ["--failed", 7]
     assert run(*argv) == 0
-    widths = [data.shape[1] for data, _ in calls]
+    widths = [data.shape[1] for _, data, _ in calls]
     assert len(widths) >= 5
-    # every chunk is a slice of one input and one output buffer, with one work dict
-    (data0, kw0), *rest = calls
-    assert data0.base is not None and kw0["out"].base is not None
-    assert all(data.base is data0.base and kw["out"].base is kw0["out"].base and kw["work"] is kw0["work"]
-               for data, kw in rest)
+    _assert_one_set_of_buffers(calls)
     middle = sum(widths[: len(widths) // 2]) + 1  # a stripe of the middle chunk
     out.unlink()
     _poke_stripe(shards / shard_name(3), p.alpha, middle, value)
@@ -313,6 +323,25 @@ def test_a_symbol_out_of_range_in_a_middle_chunk_is_refused(tmp_path, monkeypatc
     assert "symbol out of field range" in capsys.readouterr().err
     assert list(out.parent.iterdir()) == []  # no output, no temporary file
     assert _leftovers(shards) == []
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_encode_runs_the_loop_of_decode_and_repair(tmp_path, monkeypatch, q):
+    # the generator on every chunk, one kernel call per chunk through the same buffers
+    gen = tmp_path / "code"
+    field_args = ["--gf256"] if q == 256 else ["--q", "257"]
+    assert run("gen", "--n", 8, "--k", 4, "--d", 6, *field_args, "--out-dir", gen) == 0
+    desc = gen / "descriptor.json"
+    code = cli.code_from_descriptor(cli.load_descriptor(desc)[0])
+    data, shards = tmp_path / "data.bin", tmp_path / "shards"
+    data.write_bytes(random.Random(q).randbytes(5 * CHUNK * code.params.B - 3))
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 512)
+    calls = _spy_kernel(monkeypatch)
+    assert run("encode", "--descriptor", desc, "--data", data, "--out-dir", shards) == 0
+    assert len(calls) >= 5
+    assert all(mat == code.generator for mat, _, _ in calls)
+    assert sum(data.shape[1] for _, data, _ in calls) == 5 * CHUNK
+    _assert_one_set_of_buffers(calls)
 
 
 @pytest.mark.parametrize("q", [256, 257])
@@ -344,13 +373,13 @@ def test_encode_failure_leaves_no_shards(tmp_path, monkeypatch, capsys):
     data.write_bytes(bytes(500))
     calls = []
 
-    def failing_encode(code, chunk, **kw):
+    def failing_kernel(field, mat, chunk, **kw):
         calls.append(chunk.shape)
         if len(calls) == 3:
             raise cli.CliError("injected failure")
-        return encode_stripes(code, chunk, **kw)
+        return apply_rows_bulk(field, mat, chunk, **kw)
 
-    monkeypatch.setattr(cli, "encode_stripes", failing_encode)
+    monkeypatch.setattr(cli, "apply_rows_bulk", failing_kernel)
     set_chunk(monkeypatch, field_of_order(256), 12, 24)  # B=12, n*alpha=24
     out = tmp_path / "shards"
     assert run("encode", "--descriptor", gen / "descriptor.json", "--data", data, "--out-dir", out) == 2
