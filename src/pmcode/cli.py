@@ -71,8 +71,8 @@ _DESCRIPTOR_KEYS = {
     "n": int, "k": int, "d": int,
     "construction": str, "field": dict, "xs": list, "hashes": dict,
 }
-# the number that pins each field kind
-_FIELD_NUMBER = {"binary8": "poly", "prime": "q"}
+# each field kind: the descriptor key of the number that pins it, and its class
+_FIELDS = {"binary8": ("poly", BinaryField), "prime": ("q", PrimeField)}
 
 _BUILDERS = {
     "vanilla": build_vanilla_systematic,
@@ -88,7 +88,7 @@ _BUILDERS = {
 def _make_field(kind: str, number: int, source: str):
     """The field of ``kind`` pinned by ``number``; a bad number is a CliError naming ``source``."""
     try:
-        return BinaryField(number) if kind == "binary8" else PrimeField(number)
+        return _FIELDS[kind][1](number)
     except ValueError as exc:
         raise CliError(f"{source}: {exc}") from exc
 
@@ -99,16 +99,6 @@ def _field_from_args(args):
     if args.q is not None:
         return _make_field("prime", args.q, "--q")
     return None  # builders pick the smallest workable prime
-
-
-def _field_to_json(field) -> dict:
-    if field.kind == "binary8":
-        return {"kind": "binary8", "poly": field.poly}
-    return {"kind": "prime", "q": field.q}
-
-
-def _field_from_json(fd: dict):
-    return _make_field(fd["kind"], fd[_FIELD_NUMBER[fd["kind"]]], "descriptor field")
 
 
 def generation_artifacts(code) -> dict[str, str]:
@@ -126,13 +116,14 @@ def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
     """The descriptor of ``code``, hashing its ``generation_artifacts``."""
     p = code.params
     enc = underlying_encoding(code)
+    key = _FIELDS[p.field.kind][0]
     desc = {
         "format": DESCRIPTOR_FORMAT,
         "n": p.n,
         "k": p.k,
         "d": p.d,
         "construction": construction,
-        "field": _field_to_json(p.field),
+        "field": {"kind": p.field.kind, key: getattr(p.field, key)},
         "layout": shards.shard_layout(p.field),
         "xs": list(enc.xs),
         "parent": None,
@@ -164,9 +155,9 @@ def _check_descriptor(desc) -> None:
         if type(desc[key]) is not kind:
             raise CliError(f"descriptor {key!r} must be a JSON {kind.__name__}, got {desc[key]!r}")
     fd = desc["field"]
-    number = _FIELD_NUMBER.get(fd.get("kind")) if type(fd.get("kind")) is str else None
-    if number is None:
+    if type(fd.get("kind")) is not str or fd["kind"] not in _FIELDS:
         raise CliError(f"unknown field kind {fd.get('kind')!r}")
+    number = _FIELDS[fd["kind"]][0]
     if type(fd.get(number)) is not int:
         raise CliError(f"descriptor field of kind {fd['kind']!r} needs an integer {number!r}")
 
@@ -187,7 +178,8 @@ def code_from_descriptor(desc: dict):
     construction = desc["construction"]
     if construction not in _BUILDERS:
         raise CliError(f"unknown construction {construction!r}")
-    field = _field_from_json(desc["field"])
+    fd = desc["field"]
+    field = _make_field(fd["kind"], fd[_FIELDS[fd["kind"]][0]], "descriptor field")
     shards.check_layout(desc, field)
     code = _BUILDERS[construction](desc["n"], desc["k"], desc["d"], field=field)
     enc = underlying_encoding(code)
@@ -532,10 +524,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PmCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PmCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

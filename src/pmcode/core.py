@@ -42,7 +42,7 @@ from .errors import (
     PropertyViolation,
     Singular,
 )
-from .linalg import Matrix, Program, elimination_program, kernel_cost, vandermonde
+from .linalg import Matrix, Program, compose, elimination_program, kernel_cost, vandermonde
 
 
 # ---------------------------------------------------------------------------
@@ -618,34 +618,32 @@ class LinearCode:
         Its rows S are the positions where ``repair_vector(failed)`` is
         nonzero: the only stored rows a helper's symbol depends on, and so
         the only ones a helper reads.  The program reads the d*|S| selected
-        rows in helper order.  Its first d rows are the symbols the helpers
-        send, and its outputs the failed node's alpha rows, which
-        ``repair_matrix`` takes from those d.  As for decode, the matrix it
-        computes replaces it when that costs no more; for a unit repair
-        vector (repair by transfer) that is the rebuild matrix.
+        rows in helper order.  It is ``linalg.compose`` of the d x d*|S|
+        transfer matrix, whose row h dots helper h's rows with the repair
+        vector to give the symbol it sends, and ``repair_matrix``, which
+        takes the failed node's alpha rows from those d.  As for decode, the
+        matrix it computes replaces it when that costs no more; for a unit
+        repair vector (repair by transfer) that is the rebuild matrix.
         """
         key = (failed, tuple(helpers))
         if key not in self._programs:
             self.check_repair_args(failed, helpers)
-            p = self.params
+            d = self.params.d
             vec = self.repair_vector(failed)
             rows = tuple(j for j, c in enumerate(vec) if c)
-            inputs = p.d * len(rows)
-            width = inputs + p.d + p.alpha
-            sent = [[0] * width for _ in range(p.d)]
-            for h, line in enumerate(sent):
+            transfer = Matrix.zeros(self.params.field, d, d * len(rows))
+            for h, line in enumerate(transfer.data):
                 line[h * len(rows) : (h + 1) * len(rows)] = [vec[j] for j in rows]
-            rebuild = [[0] * inputs + row + [0] * p.alpha for row in self.repair_matrix(failed, helpers).data]
-            program = Program(p.field, sent + rebuild, inputs, range(p.d, p.d + p.alpha))
+            program = compose(transfer, self.repair_matrix(failed, helpers))
             self._programs[key] = RepairPlan(False, tuple(helpers), rows, _cheaper_program(program))
         return self._programs[key]
 
     def rebuild_plan(self, failed: int, ids: Sequence[int]) -> RepairPlan:
         """The plan that rebuilds ``failed`` from all stored rows of the k nodes ``ids``, computed once.
 
-        The program reads the k*alpha rows of ``ids`` in order, runs
-        ``decode_program(ids)`` and then the failed node's alpha generator
-        rows over its outputs.  As for decode, the matrix it computes
+        The program reads the k*alpha rows of ``ids`` in order: it is
+        ``linalg.compose`` of ``decode_program(ids)`` and the failed node's
+        alpha generator rows.  As for decode, the matrix it computes
         replaces it when that costs no more: from nodes 0..k-1 the decode is
         copies, and what remains is the node's generator rows.
         """
@@ -656,16 +654,7 @@ class LinearCode:
                 raise IndexOutOfRange(f"node {failed} of {p.n}")
             if failed in ids:
                 raise BadCount(f"failed node {failed} cannot help rebuild itself")
-            decode = self.decode_program(ids)
-            steps = len(decode.data)
-            width = p.B + steps + p.alpha
-            data = [row + [0] * (width - len(row)) for row in decode.data]
-            for g in self.node_block(failed).data:
-                row = [0] * width
-                for o, c in zip(decode.outputs, g):
-                    row[p.B + o] = c
-                data.append(row)
-            program = Program(p.field, data, p.B, range(steps, steps + p.alpha))
+            program = compose(self.decode_program(ids), self.node_block(failed))
             self._programs[key] = RepairPlan(True, tuple(ids), tuple(range(p.alpha)), _cheaper_program(program))
         return self._programs[key]
 

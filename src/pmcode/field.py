@@ -25,30 +25,6 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _gf2_poly_mod(a: int, b: int) -> int:
-    """Remainder of carry-less division of polynomial a by polynomial b over GF(2)."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _is_irreducible_deg8(poly: int) -> bool:
-    """Exhaustively test a degree-8 polynomial over GF(2) for irreducibility.
-
-    A reducible degree-8 polynomial has a factor of degree 1..4, so trying
-    every candidate divisor in that range is conclusive.
-    """
-    if poly.bit_length() != 9:
-        return False
-    for deg in range(1, 5):
-        for low in range(1 << deg):
-            divisor = (1 << deg) | low
-            if _gf2_poly_mod(poly, divisor) == 0:
-                return False
-    return True
-
-
 def gf256_mul_bitwise(a: int, b: int, poly: int = GF256_DEFAULT_POLY) -> int:
     """Shift-and-xor product in GF(2^8): the tests' oracle for the product
     table, whose "times x" row it also supplies."""
@@ -116,18 +92,20 @@ class BinaryField:
     kind = "binary8"
 
     def __init__(self, poly: int = GF256_DEFAULT_POLY):
-        if not _is_irreducible_deg8(poly):
+        tables = [bytes(256), bytes(range(256))]
+        if 0x100 <= poly < 0x200:  # degree 8: every product is a byte; any other builds no rows here
+            times_x = bytes(gf256_mul_bitwise(2, x, poly) for x in range(256))
+            one = int.from_bytes(tables[1], "big")
+            for c in range(1, 128):
+                # row 2c is row c times the element 2 (the polynomial x); row 2c+1 adds row 1
+                even = tables[c].translate(times_x)
+                tables += [even, (int.from_bytes(even, "big") ^ one).to_bytes(256, "big")]
+        # GF(2)[x]/(poly) has a zero divisor, a nonzero c whose row holds no 1, exactly when poly factors
+        if len(tables) < 256 or not all(1 in row for row in tables[1:]):
             raise ValueError(f"polynomial {poly:#x} is not irreducible of degree 8")
         self.poly = poly
         self.q = 256
         self.order = 256
-        times_x = bytes(gf256_mul_bitwise(2, x, poly) for x in range(256))
-        tables = [bytes(256), bytes(range(256))]
-        one = int.from_bytes(tables[1], "big")
-        for c in range(1, 128):
-            # row 2c is row c times the element 2 (the polynomial x); row 2c+1 adds row 1
-            even = tables[c].translate(times_x)
-            tables += [even, (int.from_bytes(even, "big") ^ one).to_bytes(256, "big")]
         self.product_tables = tuple(tables)
         self._inverses = bytes([0] + [row.index(1) for row in tables[1:]])
 

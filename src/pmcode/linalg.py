@@ -261,6 +261,26 @@ class Program:
         return _run(self, other)
 
 
+def compose(first: Matrix | Program, then: Matrix) -> Program:
+    """The program that runs ``first`` and then ``then`` over ``first``'s outputs.
+
+    Its rows are ``first``'s, then one per row of ``then``, which are its
+    outputs, so ``compose(first, then) @ x == then @ (first @ x)``.
+    """
+    if then.field != first.field:
+        raise FieldMismatch("composed program and matrix live in different fields")
+    if then.cols != len(first.outputs):
+        raise DimensionMismatch(f"matrix reads {then.cols} rows, program has {len(first.outputs)} outputs")
+    width = first.inputs + first.rows + then.rows
+    data = [row + [0] * (width - len(row)) for row in first.data]
+    for coeffs in then.data:
+        row = [0] * width
+        for o, c in zip(first.outputs, coeffs):
+            row[first.inputs + o] = c
+        data.append(row)
+    return Program(first.field, data, first.inputs, range(first.rows, first.rows + then.rows))
+
+
 @lru_cache(maxsize=4)
 def _bitmatrix_ones(field) -> tuple:
     """The 1s in each coefficient's 8x8 GF(2) matrix: the popcounts of c*x^b, b < 8."""

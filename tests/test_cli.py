@@ -311,13 +311,15 @@ def test_v1_prime_descriptor_still_encodes_repairs_and_decodes(tmp_path):
     "mutate, message",
     [
         (lambda d: {**d, "field": {"kind": "binary8"}}, "needs an integer 'poly'"),
+        (lambda d: {**d, "field": {"kind": "binary8", "poly": -0x11D}},
+         "descriptor field: polynomial -0x11d is not irreducible of degree 8"),
         (lambda d: [d], "must be a JSON object, not list"),
         (lambda d: {**d, "n": "8"}, "'n' must be a JSON int"),
         (lambda d: {**d, "layout": {"kind": "packets", "packet_bytes": 8192}}, "descriptor layout"),
         (lambda d: {k: v for k, v in d.items() if k != "layout"}, "descriptor layout None"),
         (lambda d: _as_v1(d), "pmcode-descriptor-v1 GF(2^8) shards use the byte layout"),
     ],
-    ids=["field-without-poly", "top-level-list", "n-as-string",
+    ids=["field-without-poly", "negative-poly", "top-level-list", "n-as-string",
          "other-packet-size", "v2-without-layout", "v1-gf256"],
 )
 def test_malformed_descriptor_is_a_cli_error(tmp_path, capsys, mutate, message):

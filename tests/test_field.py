@@ -113,11 +113,27 @@ def test_gf256_axioms_sampled():
 
 
 def test_gf256_rejects_reducible_polynomial():
-    with pytest.raises(ValueError):
-        BinaryField(poly=0x100)  # x^8, trivially reducible
-    with pytest.raises(ValueError):
-        BinaryField(poly=0x11B ^ 0x11B)  # not even degree 8
+    # x^8 is trivially reducible; 0, a negative number and x^9 + ... are not even of degree 8
+    for poly in (0x100, 0x11B ^ 0x11B, -0x11D, 0x200 | 0x11D):
+        with pytest.raises(ValueError) as exc:
+            BinaryField(poly=poly)
+        assert str(exc.value) == f"polynomial {poly:#x} is not irreducible of degree 8"
     BinaryField(poly=0x11B)  # the AES polynomial is irreducible too
+
+
+def test_exactly_the_30_irreducible_moduli_of_degree_8_build_a_field():
+    # there are 30 irreducible polynomials of degree 8 over GF(2)
+    built = []
+    for poly in range(0x100, 0x200):
+        try:
+            field = BinaryField(poly)
+        except ValueError as exc:
+            assert str(exc) == f"polynomial {poly:#x} is not irreducible of degree 8"
+            continue
+        built.append(poly)
+        assert all(gf256_mul_bitwise(a, field.inv(a), poly) == 1 for a in range(1, 256))
+    assert len(built) == 30
+    assert {0x11B, 0x11D} <= set(built)
 
 
 def test_field_of_order_dispatch():

@@ -6,12 +6,13 @@ The exact-math modules (``core`` and the rest) stay pure Python; the numpy
 bulk path is ``analysis``, which only ``shards``, ``report``, the command
 line and the lazy-name hook (``__getattr__``) of ``__init__`` load.  Only
 ``shards`` reads or writes shard bytes: no other module packs a ``struct``
-or calls ``os.pread``, ``os.preadv`` or ``os.pwrite``.  ``report`` is
-loaded only by the command line's reporting commands and by the lazy-name
-hook of ``analysis``, so the bulk commands never load it.  Each module
-imports only the modules below it in ``LAYERS``; ``__init__`` is exempt,
-and so is the one upward import, ``analysis``'s hook for the names that
-moved to ``report``.  Imports inside functions count.
+or calls ``os.pread``, ``os.preadv`` or ``os.pwrite``.  Only ``linalg``
+builds a ``Program``; the others compose one with ``linalg.compose``.
+``report`` is loaded only by the command line's reporting commands and by
+the lazy-name hook of ``analysis``, so the bulk commands never load it.
+Each module imports only the modules below it in ``LAYERS``; ``__init__``
+is exempt, and so is the one upward import, ``analysis``'s hook for the
+names that moved to ``report``.  Imports inside functions count.
 """
 
 import ast
@@ -98,3 +99,12 @@ def test_only_shards_reads_or_writes_shard_bytes():
             if isinstance(node, ast.Call) and ast.unparse(node.func) in SHARD_IO:
                 users.add(path.name)
     assert users == {"shards.py"}
+
+
+def test_only_linalg_builds_a_program():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Program":
+                callers.add(path.name)
+    assert callers == {"linalg.py"}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmcode.construct import build_sparse_systematic
 from pmcode.errors import (
     DimensionMismatch,
     DuplicateEvaluationPoint,
@@ -17,7 +18,7 @@ from pmcode.errors import (
     Singular,
 )
 from pmcode.field import field_of_order, gf256_mul_bitwise
-from pmcode.linalg import Matrix, matrix_from_text, vandermonde
+from pmcode.linalg import Matrix, compose, matrix_from_text, vandermonde
 
 from golden_vectors import PSI
 
@@ -238,6 +239,41 @@ def test_prime_entries_at_or_above_q_act_as_their_reduction(field):
                 with pytest.raises(Singular):
                     big.inverse()
 
+
+# ---------------------------------------------------------------------------
+# compose
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_compose_runs_a_matrix_over_the_outputs_of_a_program(q):
+    field = field_of_order(q)
+    code = build_sparse_systematic(8, 4, 6, field=field)
+    d, failed, rng = code.params.d, 7, random.Random(q)
+    decode = code.decode_program([4, 5, 6, 7])
+    assert decode.rows > len(decode.outputs)  # it has intermediate rows
+    # row h dots helper h's selected rows with the repair vector: the symbol it sends
+    selected = [c for c in code.repair_vector(failed) if c]
+    transfer = Matrix(field, [[c if g == h else 0 for g in range(d) for c in selected] for h in range(d)])
+    for first in (random_matrix(field, 5, 9, rng), decode, transfer):
+        then = random_matrix(field, 3, len(first.outputs), rng)
+        x = random_matrix(field, first.inputs, 4, rng)
+        composed = compose(first, then)
+        assert (composed.inputs, composed.rows) == (first.inputs, first.rows + 3)
+        assert composed @ x == then @ (first @ x)
+    helpers = list(range(d))
+    plan = code.helper_plan(failed, helpers).program
+    composed = compose(transfer, code.repair_matrix(failed, helpers))
+    assert composed @ Matrix.identity(field, composed.inputs) == plan @ Matrix.identity(field, plan.inputs)
+
+
+def test_compose_refuses_a_field_or_width_mismatch():
+    first = build_sparse_systematic(8, 4, 6, field=F11).decode_program([4, 5, 6, 7])  # 12 outputs
+    with pytest.raises(FieldMismatch):
+        compose(first, Matrix.identity(GF256, 12))
+    with pytest.raises(DimensionMismatch):
+        compose(first, Matrix.identity(F11, 11))
+    with pytest.raises(DimensionMismatch):
+        compose(Matrix.identity(F11, 4), Matrix.identity(F11, 3))
 
 
 # ---------------------------------------------------------------------------
