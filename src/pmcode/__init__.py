@@ -77,6 +77,7 @@ from .construct import (
     equivalence_check,
     shorten,
     sparsify_encoding,
+    underlying_encoding,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +93,6 @@ _ANALYSIS_NAMES = frozenset({
     "encode_stripes",
     "predicted_speedup",
     "sparsity_report",
-    "underlying_encoding",
 })
 
 

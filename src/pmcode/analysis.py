@@ -17,9 +17,11 @@ takes all their rows.  A decode applies no inverse: its program is a
 sparse elimination of the node rows (Markowitz's elimination form of the
 inverse), whose rows also read earlier rows, so it costs the nonzeros of
 the code's own rows after fill-in rather than those of their dense
-inverse.  The command line calls it once per chunk of ``chunk_stripes``
-stripes, in ``kernel_dtype``.  The reports moved to ``pmcode.report``;
-their names resolve here too.
+inverse.  ``stream``, the one loop of the library and the command line,
+calls it once per chunk of ``chunk_stripes`` stripes, in ``kernel_dtype``,
+between a source and a sink of stripes (those of shard and data files are
+in ``pmcode.shards``).  The reports moved to ``pmcode.report``; their
+names resolve here too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LinearCode, PmVandermondeCode
+from .core import LinearCode
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Matrix, Program
 
@@ -43,13 +45,6 @@ def __getattr__(name):
         from . import report
         return getattr(report, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def underlying_encoding(code: LinearCode):
-    """Walk wrapper chains down to the direct construction, if there is one."""
-    while code is not None and not isinstance(code, PmVandermondeCode):
-        code = getattr(code, "base", None) or getattr(code, "parent", None)
-    return None if code is None else code.enc
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +258,23 @@ def apply_rows_bulk(field, mat: Matrix | Program, data: np.ndarray, skip_zeros: 
                 scratch *= q
                 acc -= scratch
     return out
+
+
+def stream(field, program: Matrix | Program, stripes: int, source, sink) -> None:
+    """Apply ``program`` to ``stripes`` stripes, chunk by chunk: source, program, sink.
+
+    A chunk holds the stripes ``chunk_stripes`` allows for the program's inputs plus all its
+    rows.  ``source(width)`` and ``sink(width)`` allocate their buffers for the widest chunk and
+    return ``read(s0, w)``, the inputs of stripes s0..s0+w, and ``write(s0, outputs)``.  Each
+    chunk is one ``apply_rows_bulk`` call into a slice of one output buffer, with one ``work`` dict.
+    """
+    width = min(chunk_stripes(field, program.inputs, program.rows), stripes)
+    read, write = source(width), sink(width)
+    outputs = np.empty((len(program.outputs), width), dtype=kernel_dtype(field))
+    work = {}
+    for s0 in range(0, stripes, width):
+        w = min(width, stripes - s0)
+        write(s0, apply_rows_bulk(field, program, read(s0, w), out=outputs[:, :w], work=work))
 
 
 def encode_stripes(code: LinearCode, data: np.ndarray, skip_zeros: bool = True, *,

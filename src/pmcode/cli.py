@@ -18,10 +18,12 @@ of the generated matrix files, and the shard ``layout``.  Older descriptors
 also carry a ``seed``, which is ignored.  The shard format, its reads and
 writes and the atomic outputs are ``pmcode.shards``.
 
-``encode``, ``repair`` and ``decode`` run one streaming loop, ``_stream``,
-with the generator, a repair plan's program or ``LinearCode.decode_program``,
-so their peak memory is bounded by a chunk, not by the object.  ``decode``
-reads every row of its k shards.  ``repair`` takes ``LinearCode.repair_plan``,
+``encode``, ``repair`` and ``decode`` run the library's streaming loop,
+``analysis.stream``, with the generator, a repair plan's program or
+``LinearCode.decode_program`` between a source and a sink of
+``pmcode.shards`` (the data file's or the shards' stripes), so their peak
+memory is bounded by a chunk, not by the object.  ``decode`` reads every
+row of its k shards.  ``repair`` takes ``LinearCode.repair_plan``,
 the cheaper of d helpers, which send the rows their repair vector names, and
 k nodes, which send all their rows; a ``--helpers`` list takes the first.  It
 prints the symbols per stripe it read beside the d that the helpers send.  An
@@ -29,8 +31,9 @@ empty ``--nodes`` or ``--helpers`` list is refused, and so is an output that
 is a directory or one of the command's own inputs (the data file or a shard
 it reads, or the descriptor), before anything is written.  ``decode`` also
 checks that the last stripe's bytes past the payload length decode to zero.
-This module does file I/O and argument handling.  Only ``certify``,
-``analyze`` and ``bench`` import ``pmcode.report``.
+This module parses arguments, loads the descriptor, opens and names files
+and prints; it does no field arithmetic and imports no numpy itself.  Only
+``certify``, ``analyze`` and ``bench`` import ``pmcode.report``.
 """
 
 from __future__ import annotations
@@ -46,18 +49,17 @@ from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 
-# pmcode never calls BLAS; stop numpy's OpenBLAS from starting a thread pool
+# pmcode never calls BLAS; stop numpy's OpenBLAS, which shards loads, from starting a thread pool
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import shards
-from .analysis import apply_rows_bulk, chunk_stripes, kernel_dtype, underlying_encoding
+from .analysis import stream
 from .construct import (
     ShortenedCode,
     build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
+    underlying_encoding,
 )
 from .errors import BadCount, BadHelperCount, CliError, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
@@ -194,75 +196,21 @@ def code_from_descriptor(desc: dict):
 def _code_from_selection(args):
     """Build from --descriptor if given, else from the explicit parameters."""
     if getattr(args, "descriptor", None):
-        desc, _ = load_descriptor(args.descriptor)
-        return code_from_descriptor(desc)
+        return _load(args)[0]
     if args.n is None or args.k is None or args.d is None:
         raise CliError("provide either --descriptor or all of --n/--k/--d")
     return _BUILDERS[args.construction](args.n, args.k, args.d, field=_field_from_args(args))
 
 
+def _load(args):
+    """The code of ``--descriptor`` and the sha256 of the descriptor file, which its shards carry."""
+    desc, digest = load_descriptor(args.descriptor)
+    return code_from_descriptor(desc), digest
+
+
 # ---------------------------------------------------------------------------
-# streaming
+# inputs and outputs
 # ---------------------------------------------------------------------------
-
-def _stream(field, program, stripes: int, source, sink) -> None:
-    """Apply ``program`` to ``stripes`` stripes, chunk by chunk: source, program, sink.
-
-    A chunk holds the stripes ``chunk_stripes`` allows for the program's inputs plus all its
-    rows.  ``source(width)`` and ``sink(width)`` allocate their buffers for the widest chunk and
-    return ``read(s0, w)``, the inputs of stripes s0..s0+w, and ``write(s0, outputs)``.  Each
-    chunk is one ``apply_rows_bulk`` call into a slice of one output buffer, with one ``work`` dict.
-    """
-    width = min(chunk_stripes(field, program.inputs, program.rows), stripes)
-    read, write = source(width), sink(width)
-    outputs = np.empty((len(program.outputs), width), dtype=kernel_dtype(field))
-    work = {}
-    for s0 in range(0, stripes, width):
-        w = min(width, stripes - s0)
-        write(s0, apply_rows_bulk(field, program, read(s0, w), out=outputs[:, :w], work=work))
-
-
-def _data_source(src, size: int, field, B: int, width: int):
-    """``read(s0, w)``: the data file ``src`` of ``size`` bytes as (B x w) message columns,
-    zeros padding the last stripe."""
-    chunk = np.empty((width, B), dtype=np.uint8)
-    dtype = kernel_dtype(field)
-    wide = np.empty((B, width), dtype=dtype) if dtype != chunk.dtype else None
-
-    def read(s0: int, w: int) -> np.ndarray:
-        data = chunk[:w].reshape(-1)
-        want = min(data.size, size - s0 * B)
-        if want > 0 and src.readinto(memoryview(data)[:want]) != want:
-            raise CliError(f"{src.name}: file changed while being encoded")
-        data[want:] = 0
-        if wide is None:
-            return chunk[:w].T
-        wide[:, :w] = chunk[:w].T  # prime symbols, widened to the kernel's dtype
-        return wide[:, :w]
-
-    return read
-
-
-def _data_sink(fd: int, payload_len: int, B: int, width: int):
-    """``write(s0, message)``: decoded (B x w) message columns as the data file's bytes,
-    checking the padding."""
-    stripe_bytes = np.empty((width, B), dtype=np.uint8)
-
-    def write(s0: int, message: np.ndarray) -> None:
-        if message.max(initial=0) > 255:
-            raise CliError("decoded symbols exceed byte range; shards are inconsistent")
-        data = stripe_bytes[: message.shape[1]]
-        data[...] = message.T
-        data = data.reshape(-1)
-        # the header check makes this positive for all but an empty payload
-        valid = payload_len - s0 * B
-        if data[valid:].any():
-            raise CliError(f"decoded padding past payload length {payload_len} is not zero; "
-                           "the shards or their payload length are wrong")
-        shards.pwrite_all(fd, memoryview(data)[:valid], s0 * B)
-
-    return write
-
 
 def _refuse_overwriting(out, descriptor, sources) -> None:
     """Raise CliError if ``out`` is a directory, the descriptor or a file opened in ``sources``, (path, fd) pairs."""
@@ -312,8 +260,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    desc, digest = load_descriptor(args.descriptor)
-    code = code_from_descriptor(desc)
+    code, digest = _load(args)
     p = code.params
     if p.field.kind != "binary8" and p.field.q < 257:
         raise CliError(f"field of order {p.field.q} cannot carry arbitrary bytes; "
@@ -331,15 +278,14 @@ def cmd_encode(args) -> int:
         fds = [stack.enter_context(shards.atomic_output(out / shard_name(i))) for i in range(p.n)]
         for i, fd in enumerate(fds):
             shards.write_header(fd, digest, i, stripes, size)
-        _stream(p.field, code.generator, stripes, partial(_data_source, src, size, p.field, p.B),
-                partial(shards.row_sink, fds, p.alpha, p.field, stripes))
+        stream(p.field, code.generator, stripes, partial(shards.data_source, src, size, p.field, p.B),
+               partial(shards.row_sink, fds, p.alpha, p.field, stripes))
     print(f"encoded {size} bytes into {p.n} shards of {stripes} stripes in {out}")
     return 0
 
 
 def cmd_repair(args) -> int:
-    desc, digest = load_descriptor(args.descriptor)
-    code = code_from_descriptor(desc)
+    code, digest = _load(args)
     p = code.params
     found = shards.scan(args.shard_dir, p.n)
     failed = args.failed
@@ -357,8 +303,8 @@ def cmd_repair(args) -> int:
         _refuse_overwriting(out, args.descriptor, sources)
         fd = stack.enter_context(shards.atomic_output(out))
         shards.write_header(fd, digest, failed, stripes, payload_len)
-        _stream(p.field, plan.program, stripes, partial(shards.row_source, sources, plan.rows, p.field, stripes),
-                partial(shards.row_sink, [fd], p.alpha, p.field, stripes))
+        stream(p.field, plan.program, stripes, partial(shards.row_source, sources, plan.rows, p.field, stripes),
+               partial(shards.row_sink, [fd], p.alpha, p.field, stripes))
     nodes = ",".join(str(i) for i in plan.nodes)
     if plan.rebuild:
         selected = sum(1 for c in code.repair_vector(failed) if c)
@@ -377,8 +323,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    desc, digest = load_descriptor(args.descriptor)
-    code = code_from_descriptor(desc)
+    code, digest = _load(args)
     p = code.params
     found = shards.scan(args.shard_dir, p.n)
     ids = _parse_ids(args.nodes) if args.nodes is not None else sorted(found)[: p.k]
@@ -392,8 +337,8 @@ def cmd_decode(args) -> int:
         sources, stripes, payload_len = shards.open_nodes(stack, args.shard_dir, found, ids, digest, p, "node")
         _refuse_overwriting(args.out, args.descriptor, sources)
         fd = stack.enter_context(shards.atomic_output(args.out))
-        _stream(p.field, program, stripes, partial(shards.row_source, sources, range(p.alpha), p.field, stripes),
-                partial(_data_sink, fd, payload_len, p.B))
+        stream(p.field, program, stripes, partial(shards.row_source, sources, range(p.alpha), p.field, stripes),
+               partial(shards.data_sink, fd, payload_len, p.B))
     print(f"decoded {payload_len} bytes from nodes {','.join(str(i) for i in ids)} -> {args.out}")
     return 0
 

@@ -163,6 +163,13 @@ def shorten(parent: RemappedCode, i: int) -> ShortenedCode:
     return ShortenedCode(parent, i)
 
 
+def underlying_encoding(code: LinearCode):
+    """Walk wrapper chains down to the direct construction, if there is one."""
+    while code is not None and not isinstance(code, PmVandermondeCode):
+        code = getattr(code, "base", None) or getattr(code, "parent", None)
+    return None if code is None else code.enc
+
+
 # ---------------------------------------------------------------------------
 # field selection and full builders
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .analysis import encode_stripes, random_stripes, underlying_encoding
-from .construct import ShortenedCode
+from .analysis import encode_stripes, random_stripes
+from .construct import ShortenedCode, underlying_encoding
 from .core import CheckResult, LinearCode, random_message, subset_cases, validate_properties
 from .errors import PmCodeError, PropertyViolation
 from .linalg import Matrix

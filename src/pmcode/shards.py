@@ -1,4 +1,5 @@
-"""The shard format: the one module that reads and writes shard files.
+"""The shard format and the data file's stripes: the one module that reads and
+writes shard files, and the stripe source and sink of the data file.
 
 The descriptor pins the shard ``layout`` (``shard_layout``, symbols of
 ``shard_dtype``); ``check_layout`` refuses one this version does not read.
@@ -14,7 +15,16 @@ call), in which the first k nodes still hold the message bytes as they are.
 Rows are read in place, one ``preadv`` per segment of a selected row, and
 written at their offsets with ``pwrite``; prime-field symbols are read into
 native uint32 rows, byte-swapped in place and range-checked as unsigned
-numbers.  Every problem is a ``CliError``.
+numbers.
+
+The data file is the other end of the same stripes: ``stripe_count``
+stripes of B bytes, the last one padded with zeros.  ``data_source`` reads
+it as message columns, widened to ``analysis.kernel_dtype`` over a prime
+field, and ``data_sink`` writes decoded columns back as bytes, refusing a
+symbol above 255 or nonzero padding.  Each source and sink is a factory of
+``analysis.stream``: given the widest chunk, it allocates its buffers once
+and returns ``read(s0, w)`` or ``write(s0, outputs)``.  Every problem is a
+``CliError``.
 """
 
 from __future__ import annotations
@@ -145,6 +155,48 @@ def row_sink(fds, alpha: int, field, stripes: int, width: int):
                     stage[:w] = row
                     row = stage[:w]
                 pwrite_all(fd, memoryview(row.view(np.uint8)), HEADER.size + (r * stripes + s0) * row.itemsize)
+
+    return write
+
+
+def data_source(src, size: int, field, B: int, width: int):
+    """``read(s0, w)``: the data file ``src`` of ``size`` bytes as (B x w) message columns,
+    zeros padding the last stripe."""
+    chunk = np.empty((width, B), dtype=np.uint8)
+    dtype = analysis.kernel_dtype(field)
+    wide = np.empty((B, width), dtype=dtype) if dtype != chunk.dtype else None
+
+    def read(s0: int, w: int) -> np.ndarray:
+        data = chunk[:w].reshape(-1)
+        want = min(data.size, size - s0 * B)
+        if want > 0 and src.readinto(memoryview(data)[:want]) != want:
+            raise CliError(f"{src.name}: file changed while being encoded")
+        data[want:] = 0
+        if wide is None:
+            return chunk[:w].T
+        wide[:, :w] = chunk[:w].T  # prime symbols, widened to the kernel's dtype
+        return wide[:, :w]
+
+    return read
+
+
+def data_sink(fd: int, payload_len: int, B: int, width: int):
+    """``write(s0, message)``: decoded (B x w) message columns as the data file's bytes,
+    checking the padding."""
+    stripe_bytes = np.empty((width, B), dtype=np.uint8)
+
+    def write(s0: int, message: np.ndarray) -> None:
+        if message.max(initial=0) > 255:
+            raise CliError("decoded symbols exceed byte range; shards are inconsistent")
+        data = stripe_bytes[: message.shape[1]]
+        data[...] = message.T
+        data = data.reshape(-1)
+        # the header check makes this positive for all but an empty payload
+        valid = payload_len - s0 * B
+        if data[valid:].any():
+            raise CliError(f"decoded padding past payload length {payload_len} is not zero; "
+                           "the shards or their payload length are wrong")
+        pwrite_all(fd, memoryview(data)[:valid], s0 * B)
 
     return write
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pmcode import analysis, cli, report
-from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes, underlying_encoding
+from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes
 from pmcode.report import (
     BenchResult,
     benchmark_pair,
@@ -19,6 +19,7 @@ from pmcode.report import (
 from pmcode.construct import (
     build_sparse_systematic,
     build_vanilla_systematic,
+    underlying_encoding,
 )
 from pmcode.core import (
     CheckResult,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcode import cli
+from pmcode import analysis, cli
 from pmcode import shards as shard_format
 from pmcode.cli import (
     code_from_descriptor,
@@ -642,8 +642,8 @@ def test_an_output_that_cannot_be_written_is_reported_by_its_given_path(
     before = sorted(p.name for p in shards.iterdir())
     (tmp_path / "outdir").mkdir()
     out = tmp_path / target
-    kernels, real = [], cli.apply_rows_bulk
-    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *args, **kw: kernels.append(args) or real(*args, **kw))
+    kernels, real = [], analysis.apply_rows_bulk
+    monkeypatch.setattr(analysis, "apply_rows_bulk", lambda *args, **kw: kernels.append(args) or real(*args, **kw))
     argv = ("--nodes", "0,1,2,3") if command == "decode" else ("--failed", 7)
     assert run(command, "--descriptor", desc_path, "--shard-dir", shards, *argv, "--out", out) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"

@@ -11,9 +11,8 @@ import random
 import pytest
 
 from pmcode import report
-from pmcode.analysis import underlying_encoding
 from pmcode.cli import main, shard_name
-from pmcode.construct import build_sparse_systematic, build_vanilla_systematic
+from pmcode.construct import build_sparse_systematic, build_vanilla_systematic, underlying_encoding
 from pmcode.core import build_params, build_vandermonde_encoding
 from pmcode.errors import InvalidRegime
 from pmcode.field import field_of_order, gf256_mul_bitwise

@@ -1,18 +1,22 @@
 """The package's layers, read from its source: who imports numpy, ``pmcode.analysis``
-and ``pmcode.report``, who touches the shard format, and which modules each module
-may import.
+and ``pmcode.report``, who calls the kernel, who touches the shard format, and which
+modules each module may import.
 
-The exact-math modules (``core`` and the rest) stay pure Python; the numpy
-bulk path is ``analysis``, which only ``shards``, ``report``, the command
-line and the lazy-name hook (``__getattr__``) of ``__init__`` load.  Only
-``shards`` reads or writes shard bytes: no other module packs a ``struct``
-or calls ``os.pread``, ``os.preadv`` or ``os.pwrite``.  Only ``linalg``
-builds a ``Program``; the others compose one with ``linalg.compose``.
-``report`` is loaded only by the command line's reporting commands and by
-the lazy-name hook of ``analysis``, so the bulk commands never load it.
-Each module imports only the modules below it in ``LAYERS``; ``__init__``
-is exempt, and so is the one upward import, ``analysis``'s hook for the
-names that moved to ``report``.  Imports inside functions count.
+The exact-math modules (``core`` and the rest) stay pure Python.  numpy is
+imported by the bulk path, ``analysis``, and by ``shards``, whose sources
+and sinks are its buffers; the command line loads it only through them.
+``analysis`` is loaded by ``shards``, ``report``, the command line and the
+lazy-name hook (``__getattr__``) of ``__init__``; only ``analysis`` calls
+``apply_rows_bulk``, and the command line takes nothing from it but the
+streaming loop, ``stream``.  Only ``shards`` reads or writes shard bytes:
+no other module packs a ``struct`` or calls ``os.pread``, ``os.preadv`` or
+``os.pwrite``.  Only ``linalg`` builds a ``Program``; the others compose one
+with ``linalg.compose``.  ``report`` is loaded only by the command line's
+reporting commands and by the lazy-name hook of ``analysis``, so the bulk
+commands never load it.  Each module imports only the modules below it in
+``LAYERS``; ``__init__`` is exempt, and so is the one upward import,
+``analysis``'s hook for the names that moved to ``report``.  Imports inside
+functions count.
 """
 
 import ast
@@ -58,9 +62,23 @@ def users_of(module: str) -> set[str]:
     return users
 
 
-def test_only_analysis_shards_and_cli_import_numpy_and_only_shards_report_cli_and_the_hook_import_analysis():
-    assert users_of("numpy") == {"analysis.py", "shards.py", "cli.py"}
+def test_only_analysis_and_shards_import_numpy_and_only_shards_report_cli_and_the_hook_import_analysis():
+    assert users_of("numpy") == {"analysis.py", "shards.py"}
     assert users_of("pmcode.analysis") == {"shards.py", "report.py", "cli.py", "__init__.py:__getattr__"}
+
+
+def test_cli_takes_only_the_streaming_loop_from_analysis():
+    names = {name for name, _ in imports(ast.parse((PACKAGE / "cli.py").read_text()))}
+    assert {name for name in names if name.startswith("pmcode.analysis")} == {"pmcode.analysis", "pmcode.analysis.stream"}
+
+
+def test_only_analysis_calls_the_kernel():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "apply_rows_bulk":
+                callers.add(path.name)
+    assert callers == {"analysis.py"}
 
 
 def test_only_the_reporting_commands_and_the_hooks_import_report():

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pmcode import analysis, cli, core
+from pmcode import analysis, core
 from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes
 from pmcode.cli import code_from_descriptor, main, shard_name
 from pmcode.construct import build_rbt_systematic, build_sparse_systematic, build_vanilla_systematic
@@ -74,8 +74,8 @@ def _counting_reads(monkeypatch, shards, n):
 def _counting_kernels(monkeypatch):
     """The matrix or program of each kernel call the command line makes, in order."""
     kernels = []
-    real = cli.apply_rows_bulk
-    monkeypatch.setattr(cli, "apply_rows_bulk", lambda f, mat, data, **kw: kernels.append(mat) or real(f, mat, data, **kw))
+    real = analysis.apply_rows_bulk
+    monkeypatch.setattr(analysis, "apply_rows_bulk", lambda f, mat, data, **kw: kernels.append(mat) or real(f, mat, data, **kw))
     return kernels
 
 

@@ -1,4 +1,4 @@
-"""Chunked encode/repair/decode: the bulk stripe functions, chunk edges, atomic outputs, memory."""
+"""Chunked encode/repair/decode: the bulk stripe functions, the streaming loop, chunk edges, atomic outputs, memory."""
 
 import builtins
 import io
@@ -287,9 +287,9 @@ def _poke_stripe(path, alpha, stripe, value):
 
 
 def _spy_kernel(monkeypatch):
-    """(matrix or program, input, keyword arguments) of each kernel call the command line makes."""
-    calls, real = [], cli.apply_rows_bulk
-    monkeypatch.setattr(cli, "apply_rows_bulk", lambda *a, **kw: calls.append((a[1], a[2], kw)) or real(*a, **kw))
+    """(matrix or program, input, keyword arguments) of each kernel call, as ``analysis.stream`` makes them."""
+    calls, real = [], analysis.apply_rows_bulk
+    monkeypatch.setattr(analysis, "apply_rows_bulk", lambda *a, **kw: calls.append((a[1], a[2], kw)) or real(*a, **kw))
     return calls
 
 
@@ -344,6 +344,46 @@ def test_encode_runs_the_loop_of_decode_and_repair(tmp_path, monkeypatch, q):
     _assert_one_set_of_buffers(calls)
 
 
+PROGRAMS = {
+    "generator": lambda code: code.generator,
+    "degraded decode": lambda code: code.decode_program([4, 5, 6, 7]),
+    "helper plan": lambda code: code.helper_plan(0, [1, 2, 3, 4, 5, 6]).program,
+    "rebuild plan": lambda code: code.rebuild_plan(0, [4, 5, 6, 7]).program,
+}
+
+
+@pytest.mark.parametrize("stripes", [1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK + 11])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("q", [256, 257])
+def test_stream_equals_one_whole_array_kernel_call(monkeypatch, q, name, stripes):
+    # the library's loop over in-memory stripes, for each kind of program the commands run
+    assert CHUNK == 8 * analysis.PACKET
+    code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
+    field, program = code.params.field, PROGRAMS[name](code)
+    data = random_stripes(field, program.inputs, stripes, stripes)
+    expected = apply_rows_bulk(field, program, data)
+    set_chunk(monkeypatch, field, program.inputs, program.rows)
+    calls, widths, got = _spy_kernel(monkeypatch), [], np.empty_like(expected)
+
+    def source(width):
+        widths.append(width)
+        return lambda s0, w: data[:, s0 : s0 + w]
+
+    def sink(width):
+        widths.append(width)
+
+        def write(s0, outputs):
+            got[:, s0 : s0 + outputs.shape[1]] = outputs
+
+        return write
+
+    analysis.stream(field, program, stripes, source, sink)
+    assert np.array_equal(got, expected)
+    assert widths == [min(CHUNK, stripes)] * 2
+    assert [data.shape[1] for _, data, _ in calls] == [min(CHUNK, stripes - s0) for s0 in range(0, stripes, CHUNK)]
+    _assert_one_set_of_buffers(calls)
+
+
 @pytest.mark.parametrize("q", [256, 257])
 def test_encode_pads_a_partial_last_chunk_with_zeros(tmp_path, monkeypatch, q):
     # no byte of the input is zero, so a padding byte left over from an earlier chunk would show
@@ -379,7 +419,7 @@ def test_encode_failure_leaves_no_shards(tmp_path, monkeypatch, capsys):
             raise cli.CliError("injected failure")
         return apply_rows_bulk(field, mat, chunk, **kw)
 
-    monkeypatch.setattr(cli, "apply_rows_bulk", failing_kernel)
+    monkeypatch.setattr(analysis, "apply_rows_bulk", failing_kernel)
     set_chunk(monkeypatch, field_of_order(256), 12, 24)  # B=12, n*alpha=24
     out = tmp_path / "shards"
     assert run("encode", "--descriptor", gen / "descriptor.json", "--data", data, "--out-dir", out) == 2
