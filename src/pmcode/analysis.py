@@ -267,7 +267,12 @@ def stream(field, program: Matrix | Program, stripes: int, source, sink) -> None
     rows.  ``source(width)`` and ``sink(width)`` allocate their buffers for the widest chunk and
     return ``read(s0, w)``, the inputs of stripes s0..s0+w, and ``write(s0, outputs)``.  Each
     chunk is one ``apply_rows_bulk`` call into a slice of one output buffer, with one ``work`` dict.
+    With no stripes it calls neither factory; a negative count is refused before either.
     """
+    if stripes < 0:
+        raise DimensionMismatch(f"cannot stream {stripes} stripes")
+    if not stripes:
+        return
     width = min(chunk_stripes(field, program.inputs, program.rows), stripes)
     read, write = source(width), sink(width)
     outputs = np.empty((len(program.outputs), width), dtype=kernel_dtype(field))

@@ -251,11 +251,7 @@ def cmd_gen(args) -> int:
     for name, raw in files.items():
         with shards.atomic_output(out / name) as fd:
             shards.pwrite_all(fd, memoryview(raw), 0)
-    p = code.params
-    print(
-        f"wrote descriptor.json, {', '.join(artifacts)} to {out} "
-        f"([{p.n},{p.k},{p.d}] q={p.field.order}, {args.construction})"
-    )
+    print(f"wrote descriptor.json, {', '.join(artifacts)} to {out} ({code.params}, {args.construction})")
     return 0
 
 
@@ -343,25 +339,24 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _print_report(report, tsv: bool) -> None:
+    """Print a certification or sparsity report as text, or one TSV line per row."""
+    if tsv:
+        print("\n".join(report.to_tsv_rows()))
+    else:
+        print(report.to_text(), end="")
+
+
 def cmd_certify(args) -> int:
     from .report import certify
-    code = _code_from_selection(args)
-    record = certify(code, seed=args.seed)
-    if args.tsv:
-        print("\n".join(record.to_tsv_rows()))
-    else:
-        print(record.to_text(), end="")
+    record = certify(_code_from_selection(args), seed=args.seed)
+    _print_report(record, args.tsv)
     return 0 if record.passed else 1
 
 
 def cmd_analyze(args) -> int:
     from .report import sparsity_report
-    code = _code_from_selection(args)
-    report = sparsity_report(code)
-    if args.tsv:
-        print("\n".join(report.to_tsv_rows()))
-    else:
-        print(report.to_text(), end="")
+    _print_report(sparsity_report(_code_from_selection(args)), args.tsv)
     return 0
 
 

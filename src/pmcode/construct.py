@@ -33,7 +33,6 @@ from .core import (
     build_vandermonde_encoding,
     encoding_from_phi_lambda,
     pack_message,
-    psi_from_phi_lambda,
     random_message,
 )
 from .errors import (
@@ -64,7 +63,7 @@ def sparsify_encoding(enc: EncodingMatrix) -> EncodingMatrix:
     ``certify`` or ``validate_properties`` re-derive them on demand.
     """
     phi = enc.phi @ enc.phi.take_rows(range(enc.params.alpha)).inverse()
-    return replace(enc, phi=phi, psi=psi_from_phi_lambda(enc.params, phi, enc.lam))
+    return replace(enc, phi=phi)
 
 
 # ---------------------------------------------------------------------------

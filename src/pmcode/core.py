@@ -28,6 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -110,8 +111,12 @@ class EncodingMatrix:
     params: CodeParams
     phi: Matrix              # n x alpha
     lam: tuple               # n diagonal entries of Lambda
-    psi: Matrix              # n x d = [Phi  Lambda*Phi]
     xs: Optional[tuple]      # evaluation points when Vandermonde-built
+
+    @cached_property
+    def psi(self) -> Matrix:
+        """The n x d encoding matrix [Phi  Lambda*Phi]."""
+        return psi_from_phi_lambda(self.params, self.phi, self.lam)
 
 
 def subset_cases(n: int, size: int, limit: int, samples: int, rng: random.Random):
@@ -207,7 +212,6 @@ def encoding_from_phi_lambda(
         params=params,
         phi=phi,
         lam=tuple(lam),
-        psi=psi_from_phi_lambda(params, phi, lam),
         xs=tuple(xs) if xs is not None else None,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import encode_stripes, random_stripes
 from .construct import ShortenedCode, underlying_encoding
-from .core import CheckResult, LinearCode, random_message, subset_cases, validate_properties
+from .core import CheckResult, CodeParams, LinearCode, random_message, subset_cases, validate_properties
 from .errors import PmCodeError, PropertyViolation
 from .linalg import Matrix
 
@@ -26,24 +26,35 @@ from .linalg import Matrix
 @dataclass(frozen=True)
 class SparsityReport:
     label: str
-    n: int
-    k: int
-    d: int
-    q: int
-    row_nonzeros: tuple
-    per_node_max: tuple
-    zero_fraction: float
-    parity_zero_fraction: float
+    params: CodeParams
     pattern: tuple  # one '.'/'*' string per generator row
 
+    @property
+    def row_nonzeros(self) -> tuple:
+        return tuple(row.count("*") for row in self.pattern)
+
+    @property
+    def per_node_max(self) -> tuple:
+        counts, alpha = self.row_nonzeros, self.params.alpha
+        return tuple(max(counts[i * alpha : (i + 1) * alpha]) for i in range(self.params.n))
+
+    @property
+    def zero_fraction(self) -> float:
+        return _zero_fraction(self.pattern)
+
+    @property
+    def parity_zero_fraction(self) -> float:
+        return _zero_fraction(self.pattern[self.params.B :])
+
     def to_text(self) -> str:
+        counts = self.row_nonzeros
         lines = [
             f"label: {self.label}",
-            f"params: [{self.n},{self.k},{self.d}] q={self.q}",
+            f"params: {self.params}",
             f"zero_fraction: {self.zero_fraction:.6f}",
             f"parity_zero_fraction: {self.parity_zero_fraction:.6f}",
-            f"max_row_nonzeros: {max(self.row_nonzeros)}",
-            f"row_nonzeros: {' '.join(str(c) for c in self.row_nonzeros)}",
+            f"max_row_nonzeros: {max(counts)}",
+            f"row_nonzeros: {' '.join(str(c) for c in counts)}",
             f"per_node_max: {' '.join(str(c) for c in self.per_node_max)}",
             "pattern:",
         ]
@@ -51,12 +62,12 @@ class SparsityReport:
         return "\n".join(lines) + "\n"
 
     def to_tsv_rows(self) -> list[str]:
-        alpha = len(self.row_nonzeros) // self.n
+        alpha = self.params.alpha
         return [
             "\t".join(
                 [
                     self.label,
-                    f"{self.n}/{self.k}/{self.d}/{self.q}",
+                    _tsv_params(self.params),
                     str(t // alpha),
                     str(t % alpha),
                     str(nnz),
@@ -66,34 +77,17 @@ class SparsityReport:
         ]
 
 
+def _zero_fraction(pattern) -> float:
+    return sum(row.count(".") for row in pattern) / sum(len(row) for row in pattern)
+
+
+def _tsv_params(p: CodeParams) -> str:
+    return f"{p.n}/{p.k}/{p.d}/{p.field.order}"
+
+
 def sparsity_report(code: LinearCode) -> SparsityReport:
-    p = code.params
-    g = code.generator
-    counts = g.nonzeros_per_row()
-    alpha = p.alpha
-    per_node = tuple(
-        max(counts[i * alpha : (i + 1) * alpha]) for i in range(p.n)
-    )
-    total = g.rows * g.cols
-    zeros = total - sum(counts)
-    parity_counts = counts[p.k * alpha :]
-    parity_total = len(parity_counts) * g.cols
-    parity_zeros = parity_total - sum(parity_counts)
-    pattern = tuple(
-        "".join("*" if x else "." for x in row) for row in g.data
-    )
-    return SparsityReport(
-        label=code.label,
-        n=p.n,
-        k=p.k,
-        d=p.d,
-        q=p.field.order,
-        row_nonzeros=tuple(counts),
-        per_node_max=per_node,
-        zero_fraction=zeros / total,
-        parity_zero_fraction=parity_zeros / parity_total,
-        pattern=pattern,
-    )
+    pattern = tuple("".join("*" if x else "." for x in row) for row in code.generator.data)
+    return SparsityReport(label=code.label, params=code.params, pattern=pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +97,7 @@ def sparsity_report(code: LinearCode) -> SparsityReport:
 @dataclass(frozen=True)
 class CertificationRecord:
     label: str
-    n: int
-    k: int
-    d: int
-    q: int
+    params: CodeParams
     seed: int
     checks: tuple
 
@@ -117,7 +108,7 @@ class CertificationRecord:
     def to_text(self) -> str:
         lines = [
             f"label: {self.label}",
-            f"params: [{self.n},{self.k},{self.d}] q={self.q}",
+            f"params: {self.params}",
             f"seed: {self.seed}",
             f"passed: {self.passed}",
         ]
@@ -224,9 +215,7 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
                     break
         checks.append(CheckResult("systematic-top-block", "exhaustive", p.B, tuple(bad)))
 
-    return CertificationRecord(
-        label=code.label, n=p.n, k=p.k, d=p.d, q=p.field.order, seed=seed, checks=tuple(checks),
-    )
+    return CertificationRecord(label=code.label, params=p, seed=seed, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +225,30 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
 @dataclass(frozen=True)
 class BenchResult:
     label: str
-    n: int
-    k: int
-    d: int
-    q: int
+    params: CodeParams
     stripes: int
-    message_bytes: int
     reps: int
-    seconds_median: float
     seconds_all: tuple
-    throughput_mib_s: float
     generator_nonzeros: int
     parity_nonzeros: int
+
+    @property
+    def message_bytes(self) -> int:
+        return self.stripes * self.params.B
+
+    @property
+    def seconds_median(self) -> float:
+        return statistics.median(self.seconds_all)
+
+    @property
+    def throughput_mib_s(self) -> float:
+        med = self.seconds_median
+        return self.message_bytes / (1 << 20) / med if med > 0 else float("inf")
 
     def to_text(self) -> str:
         return (
             f"label: {self.label}\n"
-            f"params: [{self.n},{self.k},{self.d}] q={self.q}\n"
+            f"params: {self.params}\n"
             f"stripes: {self.stripes}\n"
             f"message_bytes: {self.message_bytes}\n"
             f"reps: {self.reps}\n"
@@ -267,7 +263,7 @@ class BenchResult:
         return "\t".join(
             [
                 self.label,
-                f"{self.n}/{self.k}/{self.d}/{self.q}",
+                _tsv_params(self.params),
                 str(self.stripes),
                 str(self.message_bytes),
                 f"{self.seconds_median:.6f}",
@@ -278,8 +274,7 @@ class BenchResult:
 
 
 def parity_nonzeros(code: LinearCode) -> int:
-    p = code.params
-    return sum(code.generator.nonzeros_per_row()[p.k * p.alpha :])
+    return sum(code.generator.nonzeros_per_row()[code.params.B :])
 
 
 def predicted_speedup(sparse: LinearCode, dense: LinearCode) -> float:
@@ -316,24 +311,9 @@ def benchmark_pair(
             t0 = time.perf_counter()
             encode_stripes(code, data)
             ts.append(time.perf_counter() - t0)
-    message_bytes = stripes * p.B
-    results = []
-    for code, ts in zip(codes, times):
-        med = statistics.median(ts)
-        results.append(BenchResult(
-            label=code.label,
-            n=code.params.n,
-            k=code.params.k,
-            d=code.params.d,
-            q=p.field.order,
-            stripes=stripes,
-            message_bytes=message_bytes,
-            reps=reps,
-            seconds_median=med,
-            seconds_all=tuple(ts),
-            throughput_mib_s=message_bytes / (1 << 20) / med if med > 0 else float("inf"),
-            generator_nonzeros=sum(code.generator.nonzeros_per_row()),
-            parity_nonzeros=parity_nonzeros(code),
-        ))
-    rs, rd = results
+    rs, rd = (
+        BenchResult(label=code.label, params=code.params, stripes=stripes, reps=reps, seconds_all=tuple(ts),
+                    generator_nonzeros=sum(code.generator.nonzeros_per_row()), parity_nonzeros=parity_nonzeros(code))
+        for code, ts in zip(codes, times)
+    )
     return rs, rd, rd.seconds_median / rs.seconds_median, predicted_speedup(sparse, dense)

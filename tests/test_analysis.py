@@ -10,6 +10,7 @@ from pmcode import analysis, cli, report
 from pmcode.analysis import apply_rows_bulk, encode_stripes, random_stripes
 from pmcode.report import (
     BenchResult,
+    SparsityReport,
     benchmark_pair,
     certify,
     parity_nonzeros,
@@ -51,6 +52,20 @@ def test_sparsity_report_matches_direct_counts():
     assert rep.zero_fraction == pytest.approx(zeros / (g.rows * g.cols))
     parity_zeros = sum(1 for row in g.data[12:] for x in row if x == 0)
     assert rep.parity_zero_fraction == pytest.approx(parity_zeros / (12 * 12))
+
+
+def test_sparsity_report_derives_its_counts_from_its_pattern():
+    # [5,3,4] has alpha 2 and B 6; node 3's larger row is its last, and the parity rows differ
+    params = build_params(5, 3, 4, field_of_order(7))
+    pattern = ("*.....", ".*....", "..*...", "...*..", "....*.", ".....*",
+               "**....", "****..", "***...", "*.....")
+    rep = SparsityReport("hand-made", params, pattern)
+    assert rep.row_nonzeros == (1, 1, 1, 1, 1, 1, 2, 4, 3, 1)
+    assert rep.per_node_max == (1, 1, 1, 4, 3)
+    assert rep.zero_fraction == 44 / 60
+    assert rep.parity_zero_fraction == 14 / 24
+    assert rep.to_tsv_rows()[7] == "hand-made\t5/3/4/7\t3\t1\t4"
+    assert rep.to_text().splitlines()[:2] == ["label: hand-made", "params: [5,3,4] q=7"]
 
 
 def test_sparsity_report_known_rows():

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import signal
 import struct
 import subprocess
 import sys
@@ -492,21 +494,56 @@ def test_forged_payload_length_is_rejected(tmp_path, capsys, forge):
 @pytest.mark.parametrize("field_args", [("--gf256",), ("--q", 257)], ids=["gf256", "f257"])
 @pytest.mark.parametrize("nodes", ["0,1,2,3", "4,5,6,7"], ids=["systematic", "parity"])
 def test_short_payload_length_fails_the_padding_check(tmp_path, capsys, field_args, nodes):
-    # 5000 -> 4996 keeps the stripe count, so only the decoded padding shows it
+    # 5000 -> 4996 or 4999 keeps the 417 stripes of B = 12, so only the decoded padding shows it;
+    # one byte short leaves a single nonzero byte past the payload
     payload = bytes(random.Random(2).randrange(256) for _ in range(5000))
-    assert any(payload[4996:])
+    assert any(payload[4996:]) and payload[4999] == 28
     desc_path, shards = _cycle(tmp_path, ("--n", 8, "--k", 4, "--d", 6, *field_args), payload)
-    for i in range(8):
-        path = shards / shard_name(i)
-        raw = bytearray(path.read_bytes())
-        magic, digest, node, stripes, plen = SHARD_HEADER.unpack_from(raw)
-        SHARD_HEADER.pack_into(raw, 0, magic, digest, node, stripes, 4996)
-        path.write_bytes(raw)
-    out = tmp_path / "out.bin"
-    assert run("decode", "--descriptor", desc_path, "--shard-dir", shards,
-               "--nodes", nodes, "--out", out) == 2
-    assert "decoded padding past payload length 4996 is not zero" in capsys.readouterr().err
-    assert not out.exists()
+    for short in (4996, 4999):
+        for i in range(8):
+            path = shards / shard_name(i)
+            raw = bytearray(path.read_bytes())
+            magic, digest, node, stripes, plen = SHARD_HEADER.unpack_from(raw)
+            SHARD_HEADER.pack_into(raw, 0, magic, digest, node, stripes, short)
+            path.write_bytes(raw)
+        out = tmp_path / "out.bin"
+        assert run("decode", "--descriptor", desc_path, "--shard-dir", shards,
+                   "--nodes", nodes, "--out", out) == 2
+        assert f"decoded padding past payload length {short} is not zero" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class Hung(Exception):
+    pass
+
+
+@pytest.mark.parametrize("field_args", [("--gf256",), ("--q", 257)], ids=["gf256", "f257"])
+def test_a_shard_truncated_after_its_size_check_is_refused(tmp_path, capsys, monkeypatch, field_args):
+    # the shard shrinks between open_nodes's size check and the first read: no read may spin on EOF
+    payload = bytes(random.Random(3).randrange(256) for _ in range(5000))
+    desc_path, shards = _cycle(tmp_path, ("--n", 8, "--k", 4, "--d", 6, *field_args), payload)
+    real = shard_format.open_nodes
+
+    def open_then_truncate(*args):
+        sources, stripes, payload_len = real(*args)
+        path, _ = sources[0]
+        os.truncate(path, SHARD_HEADER.size + 5)
+        return sources, stripes, payload_len
+
+    def hung(signum, frame):
+        raise Hung("decode still reading after 10 s")
+
+    monkeypatch.setattr(shard_format, "open_nodes", open_then_truncate)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        code = run("decode", "--descriptor", desc_path, "--shard-dir", shards, "--out", tmp_path / "out.bin")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert f"{shard_name(0)}: shard ended while being read" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
 
 
 @pytest.mark.parametrize(

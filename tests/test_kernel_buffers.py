@@ -6,20 +6,24 @@ carves its own pool and scratch rows from the buffer a caller's ``work``
 dict keeps from call to call.  Each check runs both field families through
 the generator, a decode program and both repair plans' programs, and
 compares with a call given neither and with the exact product (the
-per-symbol ``packet_oracle`` over GF(2^8)).
+per-symbol ``packet_oracle`` over GF(2^8)).  Hand-made programs with zero
+rows, and random programs drawn by ``hypothesis``, cover what no code's
+programs hold.
 """
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcode import analysis
 from pmcode.analysis import apply_rows_bulk, encode_stripes, kernel_dtype, random_stripes
 from pmcode.construct import build_sparse_systematic, build_vanilla_systematic
 from pmcode.errors import DimensionMismatch
 from pmcode.field import field_of_order
-from pmcode.linalg import Matrix
+from pmcode.linalg import Matrix, Program
 
 from packet_oracle import packet_oracle
 
@@ -135,3 +139,67 @@ def test_f257_kernel_agreement_with_and_without_skipping_zeros(build):
         assert np.array_equal(encode_stripes(c, data, skip_zeros, out=out, work=work), fast)
     assert np.array_equal(fast[: p.B], data)  # systematic
     assert np.array_equal(fast[:, :40], exact(p.field, c.generator, data[:, :40]))
+
+
+@pytest.mark.parametrize("q", [256, 257], ids=["gf256", "f257"])
+def test_a_zero_row_reads_zero_over_garbage_out_and_work(q):
+    field = field_of_order(q)
+    # row 0 is zero and read by row 1, row 2 is a zero output and row 3 copies input 0
+    zero = Program(field, [[0, 0, 0, 0, 0, 0, 0], [2, 0, 1, 1, 0, 0, 0], [0] * 7, [1, 0, 0, 0, 0, 0, 0]],
+                   3, (1, 2, 3))
+    # the same shape with rows 0 and 2 nonzero, which leaves row 0's work row nonzero
+    busy = Program(field, [[0, 3, 0, 0, 0, 0, 0], [2, 0, 1, 1, 0, 0, 0], [0, 5, 7, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]],
+                   3, (1, 2, 3))
+    data = random_stripes(field, 3, STRIPES, seed=q)
+    work = {}
+    out = apply_rows_bulk(field, busy, data, work=work)
+    assert out[1].any()
+    assert apply_rows_bulk(field, zero, data, out=out, work=work) is out
+    assert not out[1].any()
+    assert np.array_equal(out, exact(field, zero, data))
+
+
+@st.composite
+def programs(draw, field):
+    """A straight-line program over ``field``: zero rows, copy rows and rows of terms.
+
+    A row may read inputs and earlier rows, with unit and other coefficients;
+    the outputs are some of the rows, in any order, so that both outputs and
+    other rows may be read by later rows.
+    """
+    inputs, rows = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    data = []
+    for t in range(rows):
+        row = [0] * (inputs + rows)
+        kind = draw(st.sampled_from(["zero", "copy", "terms"]))
+        if kind == "copy":
+            row[draw(st.integers(0, inputs + t - 1))] = 1
+        elif kind == "terms":
+            for j in draw(st.lists(st.integers(0, inputs + t - 1), min_size=1, unique=True)):
+                row[j] = draw(st.one_of(st.just(1), st.integers(1, field.order - 1)))
+        data.append(row)
+    outputs = draw(st.permutations(range(rows)))[: draw(st.integers(1, rows))]
+    return Program(field, data, inputs, outputs)
+
+
+# whole blocks of 8 * PACKET stripes, then a partial block whose last w % 8 stripes are a tail
+STRIPE_COUNTS = st.builds(lambda blocks, extra: max(1, 8 * PACKET * blocks + extra),
+                          st.integers(0, 2), st.integers(0, 8 * PACKET - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data(), q=st.sampled_from([256, 257]))
+def test_random_programs_match_the_exact_product(data, q):
+    # consecutive calls share one work dict and one garbage-filled out buffer
+    field = field_of_order(q)
+    dtype = kernel_dtype(field)
+    rng = np.random.default_rng(q)
+    wide = rng.integers(0, 256, size=(6, 3 * 8 * PACKET + 2), dtype=np.uint8).astype(dtype)
+    work = {}
+    for call in range(3):
+        program = data.draw(programs(field))
+        stripes = data.draw(STRIPE_COUNTS)
+        stripes_in = random_stripes(field, program.inputs, stripes, seed=call)
+        out = wide[: len(program.outputs), 1 : 1 + stripes]
+        assert apply_rows_bulk(field, program, stripes_in, out=out, work=work) is out
+        assert np.array_equal(out, exact(field, program, stripes_in))

@@ -18,6 +18,7 @@ from pmcode.analysis import apply_rows_bulk, chunk_stripes, encode_stripes, rand
 from pmcode.cli import main, shard_name
 from pmcode.construct import build_sparse_systematic
 from pmcode.core import LinearCode
+from pmcode.errors import DimensionMismatch
 from pmcode.field import field_of_order
 
 from packet_oracle import to_symbols
@@ -382,6 +383,27 @@ def test_stream_equals_one_whole_array_kernel_call(monkeypatch, q, name, stripes
     assert widths == [min(CHUNK, stripes)] * 2
     assert [data.shape[1] for _, data, _ in calls] == [min(CHUNK, stripes - s0) for s0 in range(0, stripes, CHUNK)]
     _assert_one_set_of_buffers(calls)
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_stream_of_no_stripes_calls_neither_factory(q):
+    code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
+
+    def unused(width):
+        raise AssertionError(f"factory called with width {width}")
+
+    analysis.stream(code.params.field, code.generator, 0, unused, unused)
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_stream_refuses_a_negative_count_before_either_factory(q):
+    code = build_sparse_systematic(8, 4, 6, field=field_of_order(q))
+
+    def unused(width):
+        raise AssertionError(f"factory called with width {width}")
+
+    with pytest.raises(DimensionMismatch, match="-3 stripes"):
+        analysis.stream(code.params.field, code.generator, -3, unused, unused)
 
 
 @pytest.mark.parametrize("q", [256, 257])
