@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SHARDS = ["test_shards.py", "test_cli.py", "test_streaming.py"]
 KERNEL = ["test_kernel_buffers.py", "test_analysis.py", "test_streaming.py"]
 REPORT = ["test_analysis.py", "test_cli.py", "test_api.py"]
+SHORTENING = ["test_construct.py", "test_systematic.py"]
 TIMEOUT = 300.0
 
 # name, module, line fragment, its replacement, test files; "equivalent" names say why they survive
@@ -47,8 +48,6 @@ MUTANTS = [
     ("xor-tail-skipped", "analysis.py", "if tail < stripes:", "if False:", KERNEL),
     ("partial-block-skipped", "analysis.py", "if stripes - full >= 8:", "if stripes - full > 8:", KERNEL),
     ("reduce-never", "analysis.py", "if n % stride == 0 or n == len(terms):", "if n % stride == 0:", KERNEL),
-    ("equivalent-plan-by-cost-first", "core.py", "key=lambda plan: (plan.symbols, kernel_cost(plan.program))",
-     "key=lambda plan: (kernel_cost(plan.program), plan.symbols)", ["test_repair_reads.py", "test_cli.py"]),
     ("psi-lambda-reversed", "core.py", "return psi_from_phi_lambda(self.params, self.phi, self.lam)",
      "return psi_from_phi_lambda(self.params, self.phi, self.lam[::-1])", ["test_core.py", "test_construct.py"]),
     ("sparsify-dropped", "construct.py", "return replace(enc, phi=phi)", "return enc", ["test_construct.py"]),
@@ -59,6 +58,13 @@ MUTANTS = [
     ("message-bytes-alpha", "report.py", "return self.stripes * self.params.B", "return self.stripes * self.params.alpha",
      REPORT),
     ("certify-ignores-failures", "report.py", "return all(c.ok for c in self.checks)", "return True", REPORT),
+    ("repair-plans-ignore-failures", "report.py", "_failed_cases(plans, plan_repairs_exactly)", "()", REPORT),
+    ("depth-shift-dropped", "systematic.py", "self.base.repair_vector(failed + self.depth)",
+     "self.base.repair_vector(failed)", SHORTENING),
+    ("pinned-columns-kept", "systematic.py", "range(i, full.cols)", "range(0, full.cols)", SHORTENING),
+    ("depth-bound-loosened", "systematic.py", "if not 0 <= depth <= bp.k - 2:", "if not 0 <= depth <= bp.k - 1:",
+     SHORTENING),
+    ("negative-shortening-unchecked", "construct.py", "if i < 0:", "if False:", SHORTENING),
     ("overwrite-check-dropped", "cli.py", "if any(os.path.samestat(target, st) for st in inputs):", "if False:",
      ["test_cli.py", "test_streaming.py"]),
     ("stripe-count-zero", "shards.py", "return max(1, -(-payload_len // B))", "return max(0, -(-payload_len // B))",

@@ -68,7 +68,6 @@ from .systematic import (
 from .construct import (
     EquivalenceResult,
     RbtCode,
-    ShortenedCode,
     build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
@@ -82,24 +81,27 @@ from .construct import (
 
 __version__ = "0.1.0"
 
-# analysis imports numpy, so its names, and those of report that it resolves
-# in turn, load on first use (PEP 562) and ``import pmcode`` stays numpy-free.
-_ANALYSIS_NAMES = frozenset({
+# analysis imports numpy, and report imports analysis, so their names load on
+# first use (PEP 562), each from the module that defines it, and
+# ``import pmcode`` stays numpy-free.
+_REPORT_NAMES = frozenset({
     "BenchResult",
     "CertificationRecord",
     "SparsityReport",
     "benchmark_pair",
     "certify",
-    "encode_stripes",
     "predicted_speedup",
     "sparsity_report",
 })
 
 
 def __getattr__(name):
-    if name in _ANALYSIS_NAMES:
-        from . import analysis
-        return getattr(analysis, name)
+    if name == "encode_stripes":
+        from .analysis import encode_stripes
+        return encode_stripes
+    if name in _REPORT_NAMES:
+        from . import report
+        return getattr(report, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -133,7 +135,6 @@ __all__ = [
     "RemappedCode",
     "RepairBundle",
     "RepairPlan",
-    "ShortenedCode",
     "Singular",
     "SparsityReport",
     "ZeroInverse",

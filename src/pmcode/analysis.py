@@ -35,7 +35,8 @@ from .core import LinearCode
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Matrix, Program
 
-# names that moved to ``report``, resolved on first use (PEP 562)
+# names that moved to ``report``, resolved on first use (PEP 562); the acceptance
+# tests still import ``benchmark_pair`` and ``sparsity_report`` from here
 _REPORT_NAMES = frozenset({"BenchResult", "CertificationRecord", "SparsityReport", "benchmark_pair",
                            "certify", "parity_nonzeros", "predicted_speedup", "sparsity_report"})
 

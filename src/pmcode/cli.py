@@ -55,7 +55,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import shards
 from .analysis import stream
 from .construct import (
-    ShortenedCode,
     build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
@@ -106,20 +105,19 @@ def _field_from_args(args):
 def generation_artifacts(code) -> dict[str, str]:
     """The text files gen writes: encoding matrix, pre-remap generator, g_sys."""
     enc = underlying_encoding(code)
-    base = code.parent.base if isinstance(code, ShortenedCode) else code.base
     return {
         "psi.txt": enc.psi.to_text(),
-        "g.txt": base.generator.to_text(),
+        "g.txt": code.base.generator.to_text(),
         "g_sys.txt": code.generator.to_text(),
     }
 
 
 def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
     """The descriptor of ``code``, hashing its ``generation_artifacts``."""
-    p = code.params
+    p, parent = code.params, code.base.params
     enc = underlying_encoding(code)
     key = _FIELDS[p.field.kind][0]
-    desc = {
+    return {
         "format": DESCRIPTOR_FORMAT,
         "n": p.n,
         "k": p.k,
@@ -128,16 +126,12 @@ def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
         "field": {"kind": p.field.kind, key: getattr(p.field, key)},
         "layout": shards.shard_layout(p.field),
         "xs": list(enc.xs),
-        "parent": None,
+        "parent": {"n": parent.n, "k": parent.k, "d": parent.d} if code.depth else None,
         "hashes": {
             name: hashlib.sha256(text.encode()).hexdigest()
             for name, text in artifacts.items()
         },
     }
-    if isinstance(code, ShortenedCode):
-        pp = code.parent.params
-        desc["parent"] = {"n": pp.n, "k": pp.k, "d": pp.d}
-    return desc
 
 
 def descriptor_bytes(desc: dict) -> bytes:

@@ -9,9 +9,10 @@ repair, or reconstruction guarantees:
 * ``RbtCode`` stores each node's symbols in a rotated basis so that helpers
   can serve repairs of the first alpha nodes by literal transfer of one
   stored symbol (P = Phi_alpha^T);
-* ``ShortenedCode`` derives an [n, k, d] code with d > 2k-2 from a
-  base-regime systematic parent [n+i, k+i, d+i], i = d-2k+2, by pinning the
-  parent's first i nodes to zero and dropping them.
+* shortening (``shorten``, or the ``depth`` of
+  ``systematic.RemappedCode``) derives an [n, k, d] code with d > 2k-2 from
+  a base-regime systematic parent [n+i, k+i, d+i], i = d-2k+2, by pinning
+  the parent's first i nodes to zero and dropping them.
 
 ``build_vanilla_systematic`` and ``build_sparse_systematic`` compose these
 into ready-to-use codes for any valid (n, k, d), choosing the smallest
@@ -37,9 +38,7 @@ from .core import (
 )
 from .errors import (
     BadShorteningIndex,
-    DesignMismatch,
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidRegime,
     PropertyViolation,
 )
@@ -107,65 +106,17 @@ class RbtCode(LinearCode):
 # shortening
 # ---------------------------------------------------------------------------
 
-class ShortenedCode(LinearCode):
-    """Drop the first i nodes (and message symbols) of a systematic parent.
-
-    Messages of the child correspond to parent messages with the first
-    i*alpha symbols zero; since the parent is systematic, the dropped nodes
-    store exactly those zeros, so repair and decode can treat them as
-    always-available all-zero helpers.
-    """
-
-    def __init__(self, parent: RemappedCode, i: int):
-        pp = parent.params
-        if i < 0 or i > pp.k - 2:
-            raise BadShorteningIndex(f"shortening depth {i} invalid for k={pp.k}")
-        if parent.column_permutation != list(range(pp.B)):
-            raise DesignMismatch("shortening needs a parent that stores the message in packed order")
-        params = build_params(pp.n - i, pp.k - i, pp.d - i, pp.field)
-        alpha = params.alpha
-        cut = i * alpha
-        generator = parent.generator.submatrix(
-            range(cut, pp.n * alpha), range(cut, pp.B)
-        )
-        super().__init__(params, generator, f"{parent.label} | shortened by {i}")
-        self.parent = parent
-        self.depth = i
-
-    def repair_vector(self, failed: int) -> list[int]:
-        if not 0 <= failed < self.params.n:
-            raise IndexOutOfRange(f"node {failed} of {self.params.n}")
-        return self.parent.repair_vector(failed + self.depth)
-
-    def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        self.check_repair_args(failed, helpers)
-        i = self.depth
-        parent_helpers = list(range(i)) + [h + i for h in helpers]
-        full = self.parent.repair_matrix(failed + i, parent_helpers)
-        # dropped nodes store zeros, so their columns never contribute
-        return full.submatrix(range(full.rows), range(i, full.cols))
-
-    def decode_via_parent(self, ids: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
-        """Cross-check path: decode in the parent with the dropped nodes as zero helpers."""
-        self.check_decode_args(ids)
-        i = self.depth
-        alpha = self.params.alpha
-        parent_ids = list(range(i)) + [x + i for x in ids]
-        parent_rows = [[0] * alpha for _ in range(i)] + [list(r) for r in rows]
-        m_parent = self.parent.decode(parent_ids, parent_rows)
-        if any(m_parent[: i * alpha]):
-            raise DesignMismatch("parent decode produced nonzero symbols on dropped coordinates")
-        return m_parent[i * alpha :]
-
-
-def shorten(parent: RemappedCode, i: int) -> ShortenedCode:
-    return ShortenedCode(parent, i)
+def shorten(parent: RemappedCode, i: int) -> RemappedCode:
+    """``parent`` with its first ``i`` nodes pinned to zero and dropped: its base shortened by depth + i."""
+    if i < 0:
+        raise BadShorteningIndex(f"shortening depth {i} invalid for k={parent.params.k}")
+    return RemappedCode(parent.base, parent.remap, parent.route, parent.depth + i)
 
 
 def underlying_encoding(code: LinearCode):
     """Walk wrapper chains down to the direct construction, if there is one."""
     while code is not None and not isinstance(code, PmVandermondeCode):
-        code = getattr(code, "base", None) or getattr(code, "parent", None)
+        code = getattr(code, "base", None)
     return None if code is None else code.enc
 
 
@@ -202,15 +153,14 @@ def _base_encoding(n: int, k: int, d: int, field, i: int = 0) -> EncodingMatrix:
         raise InvalidRegime(f"[{n},{k},{d}]: {exc}") from exc
 
 
-def build_vanilla_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
+def build_vanilla_systematic(n: int, k: int, d: int, field=None) -> RemappedCode:
     """Systematic product-matrix code for any 2k-2 <= d <= n-1 (dense generator)."""
     _check_regime(n, k, d)  # before a shortening parent is built
     i = d - 2 * k + 2
-    code = remap_generic(PmVandermondeCode(_base_encoding(n, k, d, field, i)))
-    return shorten(code, i) if i else code
+    return remap_generic(PmVandermondeCode(_base_encoding(n, k, d, field, i)), i)
 
 
-def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode | ShortenedCode:
+def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode:
     """Systematic code whose parity generator rows are sparse.
 
     In the base regime the encoding matrix is sparsified directly; each
@@ -225,7 +175,7 @@ def build_sparse_systematic(n: int, k: int, d: int, field=None) -> RemappedCode 
     if i == 0:
         enc = sparsify_encoding(enc)
         return remap_generic(PmVandermondeCode(enc, f"sparse {enc.params}"))
-    return shorten(remap_generic(RbtCode(PmVandermondeCode(enc))), i)
+    return remap_generic(RbtCode(PmVandermondeCode(enc)), i)
 
 
 def build_rbt_systematic(n: int, k: int, d: int, field=None) -> RemappedCode:

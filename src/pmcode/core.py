@@ -9,7 +9,7 @@ matrices S_a, S_b and node i stores
 
 with psi_i = (phi_i, lambda_i * phi_i) a row of the n x d encoding matrix
 Psi = [Phi  Lambda*Phi].  Codes with d > 2k-2 are obtained by shortening a
-base-regime parent (see :mod:`pmcode.construct`).
+base-regime parent (the ``depth`` of :class:`pmcode.systematic.RemappedCode`).
 
 Everything here is exact pure-Python arithmetic, and a code encodes,
 decodes and repairs one stripe at a time.  What the numpy bulk path in
@@ -667,10 +667,11 @@ class LinearCode:
 
         d helpers (``helper_plan`` over the first d other nodes) read
         d*|S| symbols per stripe, and k nodes (``rebuild_plan`` over the
-        first k) read k*alpha.  The plan that reads fewer wins, a tie going
-        to the lower ``kernel_cost`` and then to the helpers; a plan is
-        built only when it can win.  With fewer than d other nodes only the
-        rebuild is possible, and with fewer than k, BadCount.
+        first k) read k*alpha.  The plan that reads fewer is the only one
+        built; when both read the same, both are built and the lower
+        ``kernel_cost`` wins, a tie going to the helpers.  With fewer than d
+        other nodes only the rebuild is possible, and with fewer than k,
+        BadCount.
         """
         p = self.params
         helper_reads = p.d * sum(1 for c in self.repair_vector(failed) if c)  # checks failed
@@ -682,7 +683,7 @@ class LinearCode:
             plans.append(self.helper_plan(failed, others[: p.d]))
         if not plans or helper_reads >= p.B:
             plans.append(self.rebuild_plan(failed, others[: p.k]))
-        return min(plans, key=lambda plan: (plan.symbols, kernel_cost(plan.program)))
+        return min(plans, key=lambda plan: kernel_cost(plan.program))
 
 
 class PmVandermondeCode(LinearCode):

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .analysis import encode_stripes, random_stripes
-from .construct import ShortenedCode, underlying_encoding
+from .construct import underlying_encoding
 from .core import CheckResult, CodeParams, LinearCode, random_message, subset_cases, validate_properties
 from .errors import PmCodeError, PropertyViolation
 from .linalg import Matrix
@@ -154,7 +154,8 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
     to ``-3`` of the underlying encoding matrix when there is one (a
     violation is one failed row with its witness; the other checks still
     run), ``k-subset-rank``, ``decode-roundtrip`` (exhaustive only when it
-    decodes every k-subset), ``repair-exact`` (exact, with d scalars moved)
+    decodes every k-subset), ``repair-exact`` (exact, with d scalars moved),
+    ``repair-plans`` (the programs that repair runs give the stored rows)
     and ``systematic-top-block`` when a systematic layout is claimed.  The
     budgets are the module constants above; ``seed`` seeds every draw.
     """
@@ -203,13 +204,28 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
     ]
     checks.append(CheckResult("repair-exact", mode, len(repairs), _failed_cases(repairs, repairs_exactly)))
 
+    # the plans that repair runs, through the exact Program @: each of repair-exact's helper
+    # sets, and per failed node repair's pick from every other node and the rebuild from k
+    plan_of = {"helpers": code.helper_plan, "repair": code.repair_plan, "rebuild": code.rebuild_plan}
+
+    def plan_repairs_exactly(case):
+        kind, failed, nodes = case
+        plan = plan_of[kind](failed, nodes)
+        column = Matrix(p.field, [[stored[h][j]] for h in plan.nodes for j in plan.rows])
+        return [row[0] for row in (plan.program @ column).data] == stored[failed]
+
+    plans = [("helpers", f, helpers) for f, helpers in repairs]
+    for f in range(p.n):
+        others = tuple(i for i in range(p.n) if i != f)
+        plans += [("repair", f, others), ("rebuild", f, others[: p.k])]
+    checks.append(CheckResult("repair-plans", mode, len(plans), _failed_cases(plans, plan_repairs_exactly)))
+
     perm = getattr(code, "column_permutation", None)
-    if perm is not None or isinstance(code, ShortenedCode):
+    if perm is not None:
         bad = []
         for t in range(p.B):
             row = code.generator.data[t]
-            expect = perm[t] if perm is not None else t
-            if any(x != (1 if s == expect else 0) for s, x in enumerate(row)):
+            if any(x != (1 if s == perm[t] else 0) for s, x in enumerate(row)):
                 bad.append(t)
                 if len(bad) >= 5:
                     break
@@ -227,10 +243,13 @@ class BenchResult:
     label: str
     params: CodeParams
     stripes: int
-    reps: int
     seconds_all: tuple
     generator_nonzeros: int
     parity_nonzeros: int
+
+    @property
+    def reps(self) -> int:
+        return len(self.seconds_all)
 
     @property
     def message_bytes(self) -> int:
@@ -312,7 +331,7 @@ def benchmark_pair(
             encode_stripes(code, data)
             ts.append(time.perf_counter() - t0)
     rs, rd = (
-        BenchResult(label=code.label, params=code.params, stripes=stripes, reps=reps, seconds_all=tuple(ts),
+        BenchResult(label=code.label, params=code.params, stripes=stripes, seconds_all=tuple(ts),
                     generator_nonzeros=sum(code.generator.nonzeros_per_row()), parity_nonzeros=parity_nonzeros(code))
         for code, ts in zip(codes, times)
     )

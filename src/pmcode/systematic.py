@@ -5,7 +5,8 @@ the generator, works for any MDS code, and pins the stored layout to the
 packed message order exactly.  The inclusion route maps the message onto the
 first k nodes' contents by triangle placement and then inverts that
 first-k-nodes map in closed form; it reproduces the generic result up to a
-permutation of message coordinates.
+permutation of message coordinates.  A remapped code's ``depth`` shortens it,
+which gives the codes with d > 2k-2.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from .core import (
     CodeParams,
     LinearCode,
     PmVandermondeCode,
+    build_params,
     decode_identity_block,
     has_identity_block,
     sym_index,
     unpack_message,
 )
-from .errors import DesignMismatch, LengthMismatch, Singular
+from .errors import BadShorteningIndex, DesignMismatch, IndexOutOfRange, LengthMismatch, Singular
 from .linalg import Matrix
 
 
@@ -78,38 +80,68 @@ def top_block_permutation(g_sys: Matrix, B: int) -> Optional[list[int]]:
 
 
 class RemappedCode(LinearCode):
-    """A code composed with an invertible message precode (the remap).
+    """A code composed with an invertible message precode (the remap), shortened by ``depth``.
 
     Stored node contents are the base code's contents for the remapped
-    message, so repair is untouched; only the message <-> codeword relation
-    changes.  ``column_permutation`` records how the top block deviates from
-    the identity (it is the identity for the generic route).
+    message, so repair is the base code's.  ``column_permutation`` records
+    how the top block deviates from the identity (the identity for the
+    generic route).  At ``depth`` i the [n, k, d] code becomes its
+    [n-i, k-i, d-i] shortening (Rashmi, Shah & Kumar, IEEE Trans. IT 2011):
+    the message's first i*alpha symbols are pinned to zero, so the first i
+    nodes store zeros and are dropped, and repair reads them as all-zero
+    helpers.  That needs the message in packed order.
     """
 
-    def __init__(self, base: LinearCode, remap: Matrix, route: str):
-        g_sys = base.generator @ remap
-        super().__init__(base.params, g_sys, f"{base.label} | systematic ({route})")
-        perm = top_block_permutation(g_sys, base.params.B)
+    def __init__(self, base: LinearCode, remap: Matrix, route: str, depth: int = 0):
+        bp = base.params
+        full = base.generator @ remap
+        perm = top_block_permutation(full, bp.B)
         if perm is None:
             raise DesignMismatch("remap did not make the top block a permutation")
+        if not 0 <= depth <= bp.k - 2:
+            raise BadShorteningIndex(f"shortening depth {depth} invalid for k={bp.k}")
+        cut = depth * bp.alpha
+        if cut and perm != list(range(bp.B)):
+            raise DesignMismatch("shortening needs a parent that stores the message in packed order")
+        params = build_params(bp.n - depth, bp.k - depth, bp.d - depth, bp.field) if depth else bp
+        generator = full.submatrix(range(cut, full.rows), range(cut, bp.B)) if depth else full
+        label = f"{base.label} | systematic ({route})" + (f" | shortened by {depth}" if depth else "")
+        super().__init__(params, generator, label)
         self.base = base
         self.remap = remap
         self.route = route
-        self.column_permutation = perm
+        self.depth = depth
+        self.column_permutation = [t - cut for t in perm[cut:]]
 
     @property
     def g_sys(self) -> Matrix:
         return self.generator
 
     def repair_vector(self, failed: int) -> list[int]:
-        return self.base.repair_vector(failed)
+        if not 0 <= failed < self.params.n:
+            raise IndexOutOfRange(f"node {failed} of {self.params.n}")
+        return self.base.repair_vector(failed + self.depth)
 
     def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        return self.base.repair_matrix(failed, helpers)
+        self.check_repair_args(failed, helpers)
+        i = self.depth
+        full = self.base.repair_matrix(failed + i, list(range(i)) + [h + i for h in helpers])
+        # the pinned nodes store zeros, so their columns never contribute
+        return full.submatrix(range(full.rows), range(i, full.cols))
+
+    def decode_via_parent(self, ids: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+        """Cross-check path: decode unshortened, with the pinned nodes' rows as zeros."""
+        self.check_decode_args(ids)
+        i, alpha = self.depth, self.params.alpha
+        parent = RemappedCode(self.base, self.remap, self.route)
+        m = parent.decode(list(range(i)) + [x + i for x in ids], [[0] * alpha] * i + [list(r) for r in rows])
+        if any(m[: i * alpha]):
+            raise DesignMismatch("parent decode produced nonzero symbols on pinned coordinates")
+        return m[i * alpha :]
 
 
-def remap_generic(base: LinearCode) -> RemappedCode:
-    """Right-multiply the generator by the inverse of its top B x B block.
+def remap_generic(base: LinearCode, depth: int = 0) -> RemappedCode:
+    """Right-multiply the generator by the inverse of its top B x B block, then shorten by ``depth``.
 
     The result stores the packed message verbatim on the first k nodes.
     """
@@ -118,8 +150,8 @@ def remap_generic(base: LinearCode) -> RemappedCode:
         remap = base.generator.take_rows(range(B)).inverse()
     except Singular as exc:
         raise Singular("top k-node block is singular; code cannot be systematic on nodes 0..k-1") from exc
-    code = RemappedCode(base, remap, "generic")
-    if code.column_permutation != list(range(B)):
+    code = RemappedCode(base, remap, "generic", depth)
+    if code.column_permutation != list(range(code.params.B)):
         raise DesignMismatch("generic remap must reproduce the message in packed order")
     return code
 

@@ -2,6 +2,7 @@ import copy
 import inspect
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pmcode.report import (
     sparsity_report,
 )
 from pmcode.construct import (
+    build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
     underlying_encoding,
@@ -105,6 +107,7 @@ def test_certify_passes_exhaustively_on_small_code():
         ("k-subset-rank", "exhaustive", math.comb(8, 4)),
         ("decode-roundtrip", "sampled", 10),  # 10 of the 70 k-subsets
         ("repair-exact", "exhaustive", 8 * math.comb(7, 6)),
+        ("repair-plans", "exhaustive", 8 * math.comb(7, 6) + 2 * 8),
         ("systematic-top-block", "exhaustive", 12),
     ]
     assert "passed: True" in record.to_text()
@@ -132,6 +135,7 @@ def test_certify_sampled_mode(monkeypatch):
         ("k-subset-rank", "sampled", 8),
         ("decode-roundtrip", "sampled", 4),
         ("repair-exact", "sampled", 5),
+        ("repair-plans", "sampled", 5 + 2 * 12),
         ("systematic-top-block", "exhaustive", code.params.B),
     ]
     # the same seed draws the same cases
@@ -175,6 +179,34 @@ def test_certify_catches_parity_corruption():
     assert not by_name["repair-exact"].ok
     assert by_name["repair-exact"].failures  # witnesses recorded
     assert by_name["systematic-top-block"].ok
+
+
+@pytest.mark.parametrize("build, n, k, d, q", [
+    (build_rbt_systematic, 8, 4, 6, 256),
+    (build_sparse_systematic, 13, 6, 11, 256),
+    (build_sparse_systematic, 17, 8, 15, 256),
+    (build_sparse_systematic, 12, 6, 10, 257),
+], ids=["rbt-8-4-6", "sparse-13-6-11", "sparse-17-8-15", "sparse-12-6-10-q257"])
+def test_certify_runs_every_repair_plan_exactly(build, n, k, d, q):
+    rows = {c.name: c for c in certify(build(n, k, d, field_of_order(q))).checks}
+    assert rows["repair-plans"].ok
+    assert rows["repair-plans"].cases == rows["repair-exact"].cases + 2 * n
+    assert list(rows).index("repair-plans") == list(rows).index("repair-exact") + 1
+
+
+def test_certify_catches_a_corrupted_plan_program():
+    code = build_sparse_systematic(8, 4, 6)
+    failed, helpers = 3, (0, 1, 2, 4, 5, 6)
+    plan = code.helper_plan(failed, helpers)
+    flat = plan.program @ Matrix.identity(code.params.field, plan.symbols)
+    flat.data[0][0] = code.params.field.add(flat.data[0][0], 1)
+    code._programs[(failed, helpers)] = replace(plan, program=flat)  # the plan that repair would run
+    record = certify(code, seed=0)
+    rows = {c.name: c for c in record.checks}
+    assert not record.passed
+    assert rows["repair-exact"].ok  # repair_matrix itself is sound
+    assert rows["repair-plans"].failures == (("helpers", failed, helpers),)
+    assert "check repair-plans: exhaustive cases=72 FAILED [('helpers', 3, (0, 1, 2, 4, 5, 6))]" in record.to_text()
 
 
 def test_certify_catches_top_block_corruption():

@@ -9,7 +9,6 @@ import pytest
 from pmcode import construct
 from pmcode.construct import (
     RbtCode,
-    ShortenedCode,
     build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
@@ -30,6 +29,7 @@ from pmcode.core import (
 from pmcode.errors import (
     BadShorteningIndex,
     DesignMismatch,
+    IndexOutOfRange,
     InvalidRegime,
 )
 from pmcode.field import field_of_order
@@ -202,7 +202,7 @@ def test_shortened_params_and_field(shortened947):
 
 def test_shortened_embeds_into_parent(shortened947):
     code = shortened947
-    parent = code.parent
+    parent = remap_generic(code.base)
     alpha = code.params.alpha
     rng = random.Random(61)
     m = random_message(code.params, rng)
@@ -266,6 +266,46 @@ def test_shorten_bad_depths():
         shorten(parent, 4)
 
 
+def test_shortening_twice_is_shortening_once_by_the_sum():
+    parent = build_vanilla_systematic(10, 5, 8)
+    twice, once = shorten(shorten(parent, 1), 1), shorten(parent, 2)
+    assert (twice.depth, twice.params, twice.label) == (2, once.params, once.label)
+    assert twice.generator == once.generator
+    rng = random.Random(83)
+    m = random_message(once.params, rng)
+    stored = once.stored_rows(m)
+    assert twice.stored_rows(m) == stored
+    for f in range(once.params.n):
+        helpers = [i for i in range(once.params.n) if i != f][: once.params.d]
+        assert twice.repair_vector(f) == once.repair_vector(f)
+        assert twice.repair_matrix(f, helpers) == once.repair_matrix(f, helpers)
+        assert list(twice.run_repair(stored, f, helpers).rebuilt) == stored[f]
+    for ids in [(0, 1, 2), (5, 6, 7), (0, 4, 7)]:
+        assert twice.decode(ids, [stored[i] for i in ids]) == m
+        assert twice.decode_via_parent(ids, [stored[i] for i in ids]) == m
+
+
+def test_shortening_past_k_minus_2_in_total_is_refused():
+    parent = build_vanilla_systematic(10, 5, 8)
+    shorten(shorten(parent, 2), 1)  # depth 3 = k-2
+    for first, then in [(1, 3), (2, 2), (3, 1)]:
+        with pytest.raises(BadShorteningIndex):
+            shorten(shorten(parent, first), then)
+    with pytest.raises(BadShorteningIndex):
+        shorten(shorten(parent, 1), -1)
+
+
+def test_shortened_repair_shifts_into_the_base_and_drops_the_pinned_helpers(shortened947):
+    code = shortened947
+    base = code.base  # the [10,5,8] product-matrix code under the remap
+    helpers = [0, 2, 3, 4, 5, 6, 8]
+    assert code.repair_vector(1) == base.repair_vector(2)
+    full = base.repair_matrix(2, [0, 1, 3, 4, 5, 6, 7, 9])
+    assert code.repair_matrix(1, helpers).data == [row[1:] for row in full.data]
+    with pytest.raises(IndexOutOfRange):
+        code.repair_vector(-1)  # base node 0, which the shortening pinned
+
+
 def test_shorten_rejects_permuted_systematic_parent(vanilla846):
     incl = remap_via_inclusion(PmVandermondeCode(sparsify_encoding(vanilla846.enc)))
     with pytest.raises(DesignMismatch):
@@ -305,7 +345,6 @@ def test_sparse_shortened_sparsity_profile_12_5_10():
     code = build_sparse_systematic(12, 5, 10)
     p = code.params
     assert p.field.order == 29  # parent is [14,7,12]
-    assert isinstance(code, ShortenedCode)
     assert code.depth == 2
     i, k, d = 2, 5, 10
     for node in range(k, p.n):

@@ -12,11 +12,12 @@ streaming loop, ``stream``.  Only ``shards`` reads or writes shard bytes:
 no other module packs a ``struct`` or calls ``os.pread``, ``os.preadv`` or
 ``os.pwrite``.  Only ``linalg`` builds a ``Program``; the others compose one
 with ``linalg.compose``.  ``report`` is loaded only by the command line's
-reporting commands and by the lazy-name hook of ``analysis``, so the bulk
-commands never load it.  Each module imports only the modules below it in
-``LAYERS``; ``__init__`` is exempt, and so is the one upward import,
-``analysis``'s hook for the names that moved to ``report``.  Imports inside
-functions count.
+reporting commands and by the lazy-name hooks of ``__init__`` and
+``analysis``, so the bulk commands never load it.  Neither the command line
+nor ``report`` asks a code its class (``isinstance``).  Each module imports
+only the modules below it in ``LAYERS``; ``__init__`` is exempt, and so is
+the one upward import, ``analysis``'s hook for the names that moved to
+``report``.  Imports inside functions count.
 """
 
 import ast
@@ -83,8 +84,18 @@ def test_only_analysis_calls_the_kernel():
 
 def test_only_the_reporting_commands_and_the_hooks_import_report():
     assert users_of("pmcode.report") == {
-        "cli.py:cmd_certify", "cli.py:cmd_analyze", "cli.py:cmd_bench", "analysis.py:__getattr__",
+        "cli.py:cmd_certify", "cli.py:cmd_analyze", "cli.py:cmd_bench",
+        "__init__.py:__getattr__", "analysis.py:__getattr__",
     }
+
+
+def test_the_command_line_and_the_reports_ask_no_code_its_class():
+    callers = set()
+    for name in ("cli.py", "report.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+                callers.add(f"{name}:{node.lineno}")
+    assert callers == set()
 
 
 # bottom to top: each module imports only the modules before it
