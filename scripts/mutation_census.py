@@ -65,6 +65,8 @@ MUTANTS = [
     ("depth-bound-loosened", "systematic.py", "if not 0 <= depth <= bp.k - 2:", "if not 0 <= depth <= bp.k - 1:",
      SHORTENING),
     ("negative-shortening-unchecked", "construct.py", "if i < 0:", "if False:", SHORTENING),
+    ("enc-not-forwarded", "systematic.py", "self.enc = base.enc", "pass", ["test_analysis.py", *SHORTENING]),
+    ("top-block-unread", "report.py", "perm = code.column_permutation", "perm = None", REPORT),
     ("overwrite-check-dropped", "cli.py", "if any(os.path.samestat(target, st) for st in inputs):", "if False:",
      ["test_cli.py", "test_streaming.py"]),
     ("stripe-count-zero", "shards.py", "return max(1, -(-payload_len // B))", "return max(0, -(-payload_len // B))",

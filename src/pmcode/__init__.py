@@ -76,7 +76,6 @@ from .construct import (
     equivalence_check,
     shorten,
     sparsify_encoding,
-    underlying_encoding,
 )
 
 __version__ = "0.1.0"
@@ -168,7 +167,6 @@ __all__ = [
     "sparsity_report",
     "sym_index",
     "triangular_inclusion",
-    "underlying_encoding",
     "unpack_message",
     "validate_properties",
     "vandermonde",

@@ -20,8 +20,7 @@ the code's own rows after fill-in rather than those of their dense
 inverse.  ``stream``, the one loop of the library and the command line,
 calls it once per chunk of ``chunk_stripes`` stripes, in ``kernel_dtype``,
 between a source and a sink of stripes (those of shard and data files are
-in ``pmcode.shards``).  The reports moved to ``pmcode.report``; their
-names resolve here too.
+in ``pmcode.shards``).  The reports built on it are ``pmcode.report``.
 """
 
 from __future__ import annotations
@@ -34,18 +33,6 @@ import numpy as np
 from .core import LinearCode
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Matrix, Program
-
-# names that moved to ``report``, resolved on first use (PEP 562); the acceptance
-# tests still import ``benchmark_pair`` and ``sparsity_report`` from here
-_REPORT_NAMES = frozenset({"BenchResult", "CertificationRecord", "SparsityReport", "benchmark_pair",
-                           "certify", "parity_nonzeros", "predicted_speedup", "sparsity_report"})
-
-
-def __getattr__(name):
-    if name in _REPORT_NAMES:
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

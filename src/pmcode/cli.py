@@ -58,7 +58,6 @@ from .construct import (
     build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
-    underlying_encoding,
 )
 from .errors import BadCount, BadHelperCount, CliError, IndexOutOfRange, PmCodeError
 from .field import GF256_DEFAULT_POLY, BinaryField, PrimeField
@@ -104,9 +103,8 @@ def _field_from_args(args):
 
 def generation_artifacts(code) -> dict[str, str]:
     """The text files gen writes: encoding matrix, pre-remap generator, g_sys."""
-    enc = underlying_encoding(code)
     return {
-        "psi.txt": enc.psi.to_text(),
+        "psi.txt": code.enc.psi.to_text(),
         "g.txt": code.base.generator.to_text(),
         "g_sys.txt": code.generator.to_text(),
     }
@@ -115,7 +113,6 @@ def generation_artifacts(code) -> dict[str, str]:
 def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
     """The descriptor of ``code``, hashing its ``generation_artifacts``."""
     p, parent = code.params, code.base.params
-    enc = underlying_encoding(code)
     key = _FIELDS[p.field.kind][0]
     return {
         "format": DESCRIPTOR_FORMAT,
@@ -125,7 +122,7 @@ def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
         "construction": construction,
         "field": {"kind": p.field.kind, key: getattr(p.field, key)},
         "layout": shards.shard_layout(p.field),
-        "xs": list(enc.xs),
+        "xs": list(code.enc.xs),
         "parent": {"n": parent.n, "k": parent.k, "d": parent.d} if code.depth else None,
         "hashes": {
             name: hashlib.sha256(text.encode()).hexdigest()
@@ -178,8 +175,7 @@ def code_from_descriptor(desc: dict):
     field = _make_field(fd["kind"], fd[_FIELDS[fd["kind"]][0]], "descriptor field")
     shards.check_layout(desc, field)
     code = _BUILDERS[construction](desc["n"], desc["k"], desc["d"], field=field)
-    enc = underlying_encoding(code)
-    if list(enc.xs) != list(desc["xs"]):
+    if list(code.enc.xs) != list(desc["xs"]):
         raise CliError("rebuilt code uses different evaluation points than the descriptor")
     for name, text in generation_artifacts(code).items():
         if hashlib.sha256(text.encode()).hexdigest() != desc["hashes"].get(name):
@@ -189,7 +185,7 @@ def code_from_descriptor(desc: dict):
 
 def _code_from_selection(args):
     """Build from --descriptor if given, else from the explicit parameters."""
-    if getattr(args, "descriptor", None):
+    if args.descriptor:
         return _load(args)[0]
     if args.n is None or args.k is None or args.d is None:
         raise CliError("provide either --descriptor or all of --n/--k/--d")
@@ -297,7 +293,7 @@ def cmd_repair(args) -> int:
                partial(shards.row_sink, [fd], p.alpha, p.field, stripes))
     nodes = ",".join(str(i) for i in plan.nodes)
     if plan.rebuild:
-        selected = sum(1 for c in code.repair_vector(failed) if c)
+        selected = len(code.helper_rows(failed))
         print(
             f"rebuilt node {failed} from k={p.k} nodes {nodes} -> {out}; per stripe: "
             f"read {plan.symbols} symbols ({p.alpha} of {p.alpha} rows per node), "

@@ -91,6 +91,7 @@ class RbtCode(LinearCode):
         )
         super().__init__(params, generator, f"{base.label} | rbt")
         self.base = base
+        self.enc = base.enc
         self.p = p
         self.p_t = p_t
         self.p_inv = p.inverse()
@@ -111,13 +112,6 @@ def shorten(parent: RemappedCode, i: int) -> RemappedCode:
     if i < 0:
         raise BadShorteningIndex(f"shortening depth {i} invalid for k={parent.params.k}")
     return RemappedCode(parent.base, parent.remap, parent.route, parent.depth + i)
-
-
-def underlying_encoding(code: LinearCode):
-    """Walk wrapper chains down to the direct construction, if there is one."""
-    while code is not None and not isinstance(code, PmVandermondeCode):
-        code = getattr(code, "base", None)
-    return None if code is None else code.enc
 
 
 # ---------------------------------------------------------------------------

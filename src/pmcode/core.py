@@ -487,8 +487,14 @@ class LinearCode:
 
     Subclasses fix how repair vectors and repair matrices are derived; the
     shared machinery here covers encoding, generic decoding from any k nodes,
-    and the bookkeeping checks.
+    and the bookkeeping checks.  ``enc`` is the encoding matrix of the direct
+    construction the code is built from (the base-regime parent's when it is
+    shortened), and ``column_permutation`` is set when the code claims a
+    systematic layout: row t of its top block is e_perm[t].
     """
+
+    enc: Optional[EncodingMatrix] = None
+    column_permutation: Optional[list[int]] = None
 
     def __init__(self, params: CodeParams, generator: Matrix, label: str = ""):
         if generator.rows != params.n * params.alpha or generator.cols != params.B:
@@ -529,6 +535,10 @@ class LinearCode:
     def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
         """alpha x d matrix turning the d transferred symbols into the lost row."""
         raise NotImplementedError
+
+    def helper_rows(self, failed: int) -> tuple[int, ...]:
+        """The stored rows a helper reads to repair ``failed``: where ``repair_vector(failed)`` is nonzero."""
+        return tuple(j for j, c in enumerate(self.repair_vector(failed)) if c)
 
     def check_repair_args(self, failed: int, helpers: Sequence[int]):
         """Raise unless ``failed`` is in range and ``helpers`` names d other distinct nodes."""
@@ -619,9 +629,8 @@ class LinearCode:
     def helper_plan(self, failed: int, helpers: Sequence[int]) -> RepairPlan:
         """The plan that repairs ``failed`` from d ``helpers``, computed once per helper list.
 
-        Its rows S are the positions where ``repair_vector(failed)`` is
-        nonzero: the only stored rows a helper's symbol depends on, and so
-        the only ones a helper reads.  The program reads the d*|S| selected
+        Its rows S are ``helper_rows(failed)``, the only stored rows a
+        helper's symbol depends on.  The program reads the d*|S| selected
         rows in helper order.  It is ``linalg.compose`` of the d x d*|S|
         transfer matrix, whose row h dots helper h's rows with the repair
         vector to give the symbol it sends, and ``repair_matrix``, which
@@ -633,8 +642,7 @@ class LinearCode:
         if key not in self._programs:
             self.check_repair_args(failed, helpers)
             d = self.params.d
-            vec = self.repair_vector(failed)
-            rows = tuple(j for j, c in enumerate(vec) if c)
+            vec, rows = self.repair_vector(failed), self.helper_rows(failed)
             transfer = Matrix.zeros(self.params.field, d, d * len(rows))
             for h, line in enumerate(transfer.data):
                 line[h * len(rows) : (h + 1) * len(rows)] = [vec[j] for j in rows]
@@ -674,7 +682,7 @@ class LinearCode:
         BadCount.
         """
         p = self.params
-        helper_reads = p.d * sum(1 for c in self.repair_vector(failed) if c)  # checks failed
+        helper_reads = p.d * len(self.helper_rows(failed))  # checks failed
         others = [i for i in present if i != failed]
         if len(others) < p.k:
             raise BadCount(f"need at least k={p.k} other nodes, got {others}")

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 from .analysis import encode_stripes, random_stripes
-from .construct import underlying_encoding
 from .core import CheckResult, CodeParams, LinearCode, random_message, subset_cases, validate_properties
 from .errors import PmCodeError, PropertyViolation
 from .linalg import Matrix
@@ -163,7 +162,7 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
     rng = random.Random(seed)
     checks = []
 
-    enc = underlying_encoding(code)
+    enc = code.enc
     if enc is not None:
         try:
             checks += validate_properties(
@@ -220,7 +219,7 @@ def certify(code: LinearCode, seed: int = 0) -> CertificationRecord:
         plans += [("repair", f, others), ("rebuild", f, others[: p.k])]
     checks.append(CheckResult("repair-plans", mode, len(plans), _failed_cases(plans, plan_repairs_exactly)))
 
-    perm = getattr(code, "column_permutation", None)
+    perm = code.column_permutation
     if perm is not None:
         bad = []
         for t in range(p.B):

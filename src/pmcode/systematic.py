@@ -83,13 +83,14 @@ class RemappedCode(LinearCode):
     """A code composed with an invertible message precode (the remap), shortened by ``depth``.
 
     Stored node contents are the base code's contents for the remapped
-    message, so repair is the base code's.  ``column_permutation`` records
-    how the top block deviates from the identity (the identity for the
-    generic route).  At ``depth`` i the [n, k, d] code becomes its
-    [n-i, k-i, d-i] shortening (Rashmi, Shah & Kumar, IEEE Trans. IT 2011):
-    the message's first i*alpha symbols are pinned to zero, so the first i
-    nodes store zeros and are dropped, and repair reads them as all-zero
-    helpers.  That needs the message in packed order.
+    message, so repair and ``enc`` are the base code's.
+    ``column_permutation`` records how the top block deviates from the
+    identity (the identity for the generic route).  At ``depth`` i the
+    [n, k, d] code becomes its [n-i, k-i, d-i] shortening (Rashmi, Shah &
+    Kumar, IEEE Trans. IT 2011): the message's first i*alpha symbols are
+    pinned to zero, so the first i nodes store zeros and are dropped, and
+    repair reads them as all-zero helpers.  That needs the message in
+    packed order.
     """
 
     def __init__(self, base: LinearCode, remap: Matrix, route: str, depth: int = 0):
@@ -108,6 +109,7 @@ class RemappedCode(LinearCode):
         label = f"{base.label} | systematic ({route})" + (f" | shortened by {depth}" if depth else "")
         super().__init__(params, generator, label)
         self.base = base
+        self.enc = base.enc
         self.remap = remap
         self.route = route
         self.depth = depth

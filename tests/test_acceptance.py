@@ -16,12 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from pmcode.analysis import (
-    benchmark_pair,
-    encode_stripes,
-    random_stripes,
-    sparsity_report,
-)
+from pmcode.analysis import encode_stripes, random_stripes
 from pmcode.construct import (
     build_rbt_systematic,
     build_sparse_systematic,
@@ -37,6 +32,7 @@ from pmcode.core import (
 )
 from pmcode.field import field_of_order
 from pmcode.linalg import Matrix
+from pmcode.report import benchmark_pair, sparsity_report
 from pmcode.systematic import (
     inclusion_remap_matrix,
     packed_coords,

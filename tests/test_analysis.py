@@ -22,12 +22,13 @@ from pmcode.construct import (
     build_rbt_systematic,
     build_sparse_systematic,
     build_vanilla_systematic,
-    underlying_encoding,
 )
 from pmcode.core import (
     CheckResult,
+    LinearCode,
     PmVandermondeCode,
     build_params,
+    build_vandermonde_encoding,
     encoding_from_phi_lambda,
     random_message,
 )
@@ -222,14 +223,60 @@ def test_certify_catches_top_block_corruption():
     assert 0 in by_name["systematic-top-block"].failures
 
 
-def test_underlying_encoding_walks_wrappers():
-    code = build_sparse_systematic(8, 4, 6)
-    enc = underlying_encoding(code)
-    assert enc is not None and enc.params.n == 8
+def test_certify_checks_no_top_block_of_a_code_that_claims_no_systematic_layout():
+    code = PmVandermondeCode(build_vandermonde_encoding(build_params(8, 4, 6, field_of_order(11))))
+    assert code.column_permutation is None
+    record = certify(code, seed=1)
+    assert record.passed
+    names = [c.name for c in record.checks]
+    assert names[:3] == ["property-1", "property-2", "property-3"]
+    assert "systematic-top-block" not in names
 
-    shortened = build_sparse_systematic(12, 5, 10)
-    enc = underlying_encoding(shortened)
-    assert enc is not None and (enc.params.n, enc.params.k) == (14, 7)
+
+class _NoEncoding(LinearCode):
+    """A code known only by its generator and repair: it carries no encoding matrix."""
+
+    def __init__(self, inner: LinearCode):
+        super().__init__(inner.params, inner.generator, "no encoding")
+        self.inner = inner
+
+    def repair_vector(self, failed):
+        return self.inner.repair_vector(failed)
+
+    def repair_matrix(self, failed, helpers):
+        return self.inner.repair_matrix(failed, helpers)
+
+
+def test_certify_checks_no_properties_of_a_code_without_an_encoding():
+    code = _NoEncoding(build_sparse_systematic(8, 4, 6))
+    assert code.enc is None
+    record = certify(code, seed=1)
+    assert record.passed
+    assert [c.name for c in record.checks] == ["k-subset-rank", "decode-roundtrip", "repair-exact", "repair-plans"]
+
+
+# (build function, code, its base-regime parent, how many .base hops reach the direct construction)
+CARRIERS = [
+    (build_sparse_systematic, (8, 4, 6), (8, 4, 6), 1),
+    (build_sparse_systematic, (12, 5, 10), (14, 7, 12), 2),
+    (build_rbt_systematic, (8, 4, 6), (8, 4, 6), 2),
+    (build_vanilla_systematic, (8, 4, 6), (8, 4, 6), 1),
+    (build_vanilla_systematic, (9, 4, 7), (10, 5, 8), 1),
+]
+
+
+@pytest.mark.parametrize("build, nkd, parent, hops", CARRIERS,
+                         ids=["sparse-8-4-6", "sparse-12-5-10", "rbt-8-4-6", "vanilla-8-4-6", "vanilla-9-4-7"])
+def test_a_code_carries_the_encoding_of_its_direct_construction(build, nkd, parent, hops):
+    code = build(*nkd)
+    direct = code
+    for _ in range(hops):
+        direct = direct.base
+    assert type(direct) is PmVandermondeCode
+    assert code.enc is direct.enc and code.base.enc is direct.enc
+    assert (code.enc.params.n, code.enc.params.k, code.enc.params.d) == parent
+    assert code.column_permutation == list(range(code.params.B))
+    assert direct.column_permutation is None
 
 
 def test_apply_rows_bulk_matches_per_stripe_mul():

@@ -12,7 +12,7 @@ import pytest
 
 from pmcode import report
 from pmcode.cli import main, shard_name
-from pmcode.construct import build_sparse_systematic, build_vanilla_systematic, underlying_encoding
+from pmcode.construct import build_sparse_systematic, build_vanilla_systematic
 from pmcode.core import build_params, build_vandermonde_encoding
 from pmcode.errors import InvalidRegime
 from pmcode.field import field_of_order, gf256_mul_bitwise
@@ -48,7 +48,7 @@ def first_new_powers(alpha: int, count: int) -> list[int]:
 def test_codes_without_a_working_run_build_from_new_powers_and_certify(monkeypatch, construction, n, k, d):
     code = BUILDERS[construction](n, k, d, field=GF256)
     assert (code.params.n, code.params.k, code.params.d) == (n, k, d)
-    enc = underlying_encoding(code)
+    enc = code.enc
     size, alpha = enc.params.n, enc.params.alpha
     lam = [power(x, alpha) for x in range(256)]
     assert all(len(set(lam[s : s + size])) < size for s in range(1, 257 - size))

@@ -1,6 +1,6 @@
 """The package's layers, read from its source: who imports numpy, ``pmcode.analysis``
-and ``pmcode.report``, who calls the kernel, who touches the shard format, and which
-modules each module may import.
+and ``pmcode.report``, who calls the kernel, who touches the shard format, who asks a code
+its class, and which modules each module may import.
 
 The exact-math modules (``core`` and the rest) stay pure Python.  numpy is
 imported by the bulk path, ``analysis``, and by ``shards``, whose sources
@@ -12,12 +12,12 @@ streaming loop, ``stream``.  Only ``shards`` reads or writes shard bytes:
 no other module packs a ``struct`` or calls ``os.pread``, ``os.preadv`` or
 ``os.pwrite``.  Only ``linalg`` builds a ``Program``; the others compose one
 with ``linalg.compose``.  ``report`` is loaded only by the command line's
-reporting commands and by the lazy-name hooks of ``__init__`` and
-``analysis``, so the bulk commands never load it.  Neither the command line
-nor ``report`` asks a code its class (``isinstance``).  Each module imports
-only the modules below it in ``LAYERS``; ``__init__`` is exempt, and so is
-the one upward import, ``analysis``'s hook for the names that moved to
-``report``.  Imports inside functions count.
+reporting commands and by the lazy-name hook of ``__init__``, so the bulk
+commands never load it.  Neither the command line, ``report`` nor
+``construct`` asks a code its class (``isinstance``): a code carries its
+``enc`` and ``column_permutation``.  Each module imports only the modules
+below it in ``LAYERS``; ``__init__`` is exempt.  Imports inside functions
+count.
 """
 
 import ast
@@ -82,16 +82,15 @@ def test_only_analysis_calls_the_kernel():
     assert callers == {"analysis.py"}
 
 
-def test_only_the_reporting_commands_and_the_hooks_import_report():
+def test_only_the_reporting_commands_and_the_hook_import_report():
     assert users_of("pmcode.report") == {
-        "cli.py:cmd_certify", "cli.py:cmd_analyze", "cli.py:cmd_bench",
-        "__init__.py:__getattr__", "analysis.py:__getattr__",
+        "cli.py:cmd_certify", "cli.py:cmd_analyze", "cli.py:cmd_bench", "__init__.py:__getattr__",
     }
 
 
 def test_the_command_line_and_the_reports_ask_no_code_its_class():
     callers = set()
-    for name in ("cli.py", "report.py"):
+    for name in ("cli.py", "report.py", "construct.py"):
         for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
                 callers.add(f"{name}:{node.lineno}")
@@ -111,7 +110,7 @@ def test_each_module_imports_only_the_layers_below_it():
             parts = name.split(".")
             if parts[0] == "pmcode" and len(parts) > 1 and parts[1] not in LAYERS[:layer]:
                 upward.add(f"{module}.py:{func} imports pmcode.{parts[1]}")
-    assert upward == {"analysis.py:__getattr__ imports pmcode.report"}
+    assert upward == set()
 
 
 SHARD_IO = {"os.pread", "os.preadv", "os.pwrite"}
