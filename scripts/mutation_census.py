@@ -27,6 +27,7 @@ SHARDS = ["test_shards.py", "test_cli.py", "test_streaming.py"]
 KERNEL = ["test_kernel_buffers.py", "test_analysis.py", "test_streaming.py"]
 REPORT = ["test_analysis.py", "test_cli.py", "test_api.py"]
 SHORTENING = ["test_construct.py", "test_systematic.py"]
+REPAIR = ["test_core.py", "test_construct.py", "test_systematic.py", "test_repair_reads.py"]
 TIMEOUT = 300.0
 
 # name, module, line fragment, its replacement, test files; "equivalent" names say why they survive
@@ -59,13 +60,17 @@ MUTANTS = [
      REPORT),
     ("certify-ignores-failures", "report.py", "return all(c.ok for c in self.checks)", "return True", REPORT),
     ("repair-plans-ignore-failures", "report.py", "_failed_cases(plans, plan_repairs_exactly)", "()", REPORT),
-    ("depth-shift-dropped", "systematic.py", "self.base.repair_vector(failed + self.depth)",
-     "self.base.repair_vector(failed)", SHORTENING),
-    ("pinned-columns-kept", "systematic.py", "range(i, full.cols)", "range(0, full.cols)", SHORTENING),
+    ("depth-shift-dropped", "core.py", "phi = self.enc.phi.row(failed + self.depth)",
+     "phi = self.enc.phi.row(failed)", REPAIR),
+    ("pinned-columns-kept", "core.py", "zip(inv.data[j][i:], inv.data[alpha + j][i:])",
+     "zip(inv.data[j], inv.data[alpha + j])", REPAIR),
+    ("basis-transpose-dropped", "core.py", "else self.p.transpose() @ lost", "else lost", REPAIR),
+    ("basis-not-inverted", "core.py", "else self.p_inv.mul_vector(phi)", "else self.p.mul_vector(phi)", REPAIR),
     ("depth-bound-loosened", "systematic.py", "if not 0 <= depth <= bp.k - 2:", "if not 0 <= depth <= bp.k - 1:",
      SHORTENING),
     ("negative-shortening-unchecked", "construct.py", "if i < 0:", "if False:", SHORTENING),
-    ("enc-not-forwarded", "systematic.py", "self.enc = base.enc", "pass", ["test_analysis.py", *SHORTENING]),
+    ("enc-not-forwarded", "systematic.py", "self.enc, self.p, self.p_inv = base.enc, base.p, base.p_inv",
+     "self.p, self.p_inv = base.p, base.p_inv", ["test_analysis.py", *SHORTENING]),
     ("top-block-unread", "report.py", "perm = code.column_permutation", "perm = None", REPORT),
     ("overwrite-check-dropped", "cli.py", "if any(os.path.samestat(target, st) for st in inputs):", "if False:",
      ["test_cli.py", "test_streaming.py"]),

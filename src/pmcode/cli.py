@@ -112,7 +112,7 @@ def generation_artifacts(code) -> dict[str, str]:
 
 def descriptor_for(code, construction: str, artifacts: dict[str, str]) -> dict:
     """The descriptor of ``code``, hashing its ``generation_artifacts``."""
-    p, parent = code.params, code.base.params
+    p, parent = code.params, code.enc.params
     key = _FIELDS[p.field.kind][0]
     return {
         "format": DESCRIPTOR_FORMAT,

@@ -22,7 +22,7 @@ workable prime field when none is given.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     EncodingMatrix,
@@ -72,10 +72,10 @@ def sparsify_encoding(enc: EncodingMatrix) -> EncodingMatrix:
 class RbtCode(LinearCode):
     """Store y_i = P^T c_i instead of c_i, for an invertible alpha x alpha P.
 
-    Transfer symbols are preserved: a helper dots its stored row with
-    P^{-1} phi_f, which equals the original c_i . phi_f.  With the default
-    P = Phi_alpha^T, the repair vector for failed node f < alpha is e_f, so
-    helpers serve those repairs by sending stored symbol f unchanged.
+    Repair (``LinearCode``) reads ``p``: a helper dots its stored row
+    with P^{-1} phi_f, which equals the original c_i . phi_f.  With the
+    default P = Phi_alpha^T, the repair vector for failed node f < alpha is
+    e_f, so helpers serve those repairs by sending stored symbol f unchanged.
     """
 
     def __init__(self, base: PmVandermondeCode, p: Optional[Matrix] = None):
@@ -92,15 +92,7 @@ class RbtCode(LinearCode):
         super().__init__(params, generator, f"{base.label} | rbt")
         self.base = base
         self.enc = base.enc
-        self.p = p
-        self.p_t = p_t
-        self.p_inv = p.inverse()
-
-    def repair_vector(self, failed: int) -> list[int]:
-        return self.p_inv.mul_vector(self.base.repair_vector(failed))
-
-    def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        return self.p_t @ self.base.repair_matrix(failed, helpers)
+        self.p, self.p_inv = p, p.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -483,17 +483,22 @@ def _cheaper_program(program: Program) -> Program | Matrix:
 
 
 class LinearCode:
-    """A code presented by its (n*alpha) x B generator, plus repair structure.
+    """A code presented by its (n*alpha) x B generator, plus what its repair is derived from.
 
-    Subclasses fix how repair vectors and repair matrices are derived; the
-    shared machinery here covers encoding, generic decoding from any k nodes,
-    and the bookkeeping checks.  ``enc`` is the encoding matrix of the direct
-    construction the code is built from (the base-regime parent's when it is
-    shortened), and ``column_permutation`` is set when the code claims a
-    systematic layout: row t of its top block is e_perm[t].
+    The shared machinery here covers encoding, repair, generic decoding from
+    any k nodes, and the bookkeeping checks.  Repair is fixed by ``enc``, the
+    encoding matrix of the direct construction the code is built from (the
+    base-regime parent's when it is shortened), ``p``, the basis P of a code
+    whose node i stores P^T c_i (``p_inv`` is P^-1; None when it stores c_i),
+    and ``depth``, how many of the parent's first nodes shortening dropped;
+    a code without ``enc`` defines its own.  ``column_permutation`` is set
+    when the code claims a systematic layout: row t of its top block is e_perm[t].
     """
 
     enc: Optional[EncodingMatrix] = None
+    p: Optional[Matrix] = None
+    p_inv: Optional[Matrix] = None
+    depth: int = 0
     column_permutation: Optional[list[int]] = None
 
     def __init__(self, params: CodeParams, generator: Matrix, label: str = ""):
@@ -529,12 +534,32 @@ class LinearCode:
     # -- repair ------------------------------------------------------------
 
     def repair_vector(self, failed: int) -> list[int]:
-        """The alpha-vector each helper dots with its stored row to get its transfer symbol."""
-        raise NotImplementedError
+        """The alpha-vector each helper dots with its stored row to get its transfer symbol: P^-1 phi_(f+depth)."""
+        if self.enc is None:
+            raise NotImplementedError("a code without an encoding matrix defines its own repair")
+        if not 0 <= failed < self.params.n:
+            raise IndexOutOfRange(f"node {failed} of {self.params.n}")
+        phi = self.enc.phi.row(failed + self.depth)
+        return phi if self.p is None else self.p_inv.mul_vector(phi)
 
     def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        """alpha x d matrix turning the d transferred symbols into the lost row."""
-        raise NotImplementedError
+        """alpha x d matrix turning the d transferred symbols into the lost row.
+
+        Psi over the parent's helpers, [0, depth) and ``helpers`` + depth, inverts to S_a phi_f and
+        S_b phi_f, and row j of c_f is (S_a phi_f)[j] + lambda_f (S_b phi_f)[j].  The pinned nodes
+        store zeros, so their columns are dropped, and P^T turns c_f into what the node stores.
+        """
+        if self.enc is None:
+            raise NotImplementedError("a code without an encoding matrix defines its own repair")
+        self.check_repair_args(failed, helpers)
+        i, alpha, field = self.depth, self.params.alpha, self.params.field
+        inv = self.enc.psi.take_rows([*range(i), *(h + i for h in helpers)]).inverse()
+        lam_f = self.enc.lam[failed + i]
+        lost = Matrix(field, [
+            [field.add(a, field.mul(lam_f, b)) for a, b in zip(inv.data[j][i:], inv.data[alpha + j][i:])]
+            for j in range(alpha)
+        ])
+        return lost if self.p is None else self.p.transpose() @ lost
 
     def helper_rows(self, failed: int) -> tuple[int, ...]:
         """The stored rows a helper reads to repair ``failed``: where ``repair_vector(failed)`` is nonzero."""
@@ -695,31 +720,12 @@ class LinearCode:
 
 
 class PmVandermondeCode(LinearCode):
-    """The direct product-matrix code for d = 2k-2, any encoding matrix."""
+    """The direct product-matrix code for d = 2k-2, any encoding matrix; it stores c_i, unshortened."""
 
     def __init__(self, enc: EncodingMatrix, label: str = ""):
         params = enc.params
         super().__init__(params, generator_matrix(enc), label or f"vanilla {params}")
         self.enc = enc
-
-    def repair_vector(self, failed: int) -> list[int]:
-        if not 0 <= failed < self.params.n:
-            raise IndexOutOfRange(f"node {failed} of {self.params.n}")
-        return self.enc.phi.row(failed)
-
-    def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        self.check_repair_args(failed, helpers)
-        params = self.params
-        alpha = params.alpha
-        add, mul = params.field.add, params.field.mul
-        inv = self.enc.psi.take_rows(helpers).inverse()
-        lam_f = self.enc.lam[failed]
-        # row j of the result: (S_a phi_f)[j] + lam_f (S_b phi_f)[j] pulled out of inv * s
-        data = [
-            [add(inv.data[j][c], mul(lam_f, inv.data[alpha + j][c])) for c in range(params.d)]
-            for j in range(alpha)
-        ]
-        return Matrix(params.field, data)
 
     def decode(self, ids, rows, method: str = "auto") -> list[int]:
         """Decode from k nodes; ``method`` picks the generic path or the

@@ -23,7 +23,7 @@ from .core import (
     sym_index,
     unpack_message,
 )
-from .errors import BadShorteningIndex, DesignMismatch, IndexOutOfRange, LengthMismatch, Singular
+from .errors import BadShorteningIndex, DesignMismatch, LengthMismatch, Singular
 from .linalg import Matrix
 
 
@@ -83,14 +83,15 @@ class RemappedCode(LinearCode):
     """A code composed with an invertible message precode (the remap), shortened by ``depth``.
 
     Stored node contents are the base code's contents for the remapped
-    message, so repair and ``enc`` are the base code's.
+    message, so the code takes the base's ``enc`` and ``p``, and with its
+    own ``depth`` they fix its repair (``LinearCode``).
     ``column_permutation`` records how the top block deviates from the
     identity (the identity for the generic route).  At ``depth`` i the
     [n, k, d] code becomes its [n-i, k-i, d-i] shortening (Rashmi, Shah &
     Kumar, IEEE Trans. IT 2011): the message's first i*alpha symbols are
     pinned to zero, so the first i nodes store zeros and are dropped, and
     repair reads them as all-zero helpers.  That needs the message in
-    packed order.
+    packed order, and a base that is not itself shortened.
     """
 
     def __init__(self, base: LinearCode, remap: Matrix, route: str, depth: int = 0):
@@ -101,6 +102,8 @@ class RemappedCode(LinearCode):
             raise DesignMismatch("remap did not make the top block a permutation")
         if not 0 <= depth <= bp.k - 2:
             raise BadShorteningIndex(f"shortening depth {depth} invalid for k={bp.k}")
+        if base.depth:
+            raise DesignMismatch("remap a shortened code's own base, at the summed depth")
         cut = depth * bp.alpha
         if cut and perm != list(range(bp.B)):
             raise DesignMismatch("shortening needs a parent that stores the message in packed order")
@@ -109,7 +112,7 @@ class RemappedCode(LinearCode):
         label = f"{base.label} | systematic ({route})" + (f" | shortened by {depth}" if depth else "")
         super().__init__(params, generator, label)
         self.base = base
-        self.enc = base.enc
+        self.enc, self.p, self.p_inv = base.enc, base.p, base.p_inv
         self.remap = remap
         self.route = route
         self.depth = depth
@@ -118,18 +121,6 @@ class RemappedCode(LinearCode):
     @property
     def g_sys(self) -> Matrix:
         return self.generator
-
-    def repair_vector(self, failed: int) -> list[int]:
-        if not 0 <= failed < self.params.n:
-            raise IndexOutOfRange(f"node {failed} of {self.params.n}")
-        return self.base.repair_vector(failed + self.depth)
-
-    def repair_matrix(self, failed: int, helpers: Sequence[int]) -> Matrix:
-        self.check_repair_args(failed, helpers)
-        i = self.depth
-        full = self.base.repair_matrix(failed + i, list(range(i)) + [h + i for h in helpers])
-        # the pinned nodes store zeros, so their columns never contribute
-        return full.submatrix(range(full.rows), range(i, full.cols))
 
     def decode_via_parent(self, ids: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
         """Cross-check path: decode unshortened, with the pinned nodes' rows as zeros."""

@@ -255,19 +255,20 @@ def test_certify_checks_no_properties_of_a_code_without_an_encoding():
     assert [c.name for c in record.checks] == ["k-subset-rank", "decode-roundtrip", "repair-exact", "repair-plans"]
 
 
-# (build function, code, its base-regime parent, how many .base hops reach the direct construction)
+# (build function, code, its base-regime parent, how many .base hops reach the direct construction,
+#  whether it stores in the repair-by-transfer basis)
 CARRIERS = [
-    (build_sparse_systematic, (8, 4, 6), (8, 4, 6), 1),
-    (build_sparse_systematic, (12, 5, 10), (14, 7, 12), 2),
-    (build_rbt_systematic, (8, 4, 6), (8, 4, 6), 2),
-    (build_vanilla_systematic, (8, 4, 6), (8, 4, 6), 1),
-    (build_vanilla_systematic, (9, 4, 7), (10, 5, 8), 1),
+    (build_sparse_systematic, (8, 4, 6), (8, 4, 6), 1, False),
+    (build_sparse_systematic, (12, 5, 10), (14, 7, 12), 2, True),
+    (build_rbt_systematic, (8, 4, 6), (8, 4, 6), 2, True),
+    (build_vanilla_systematic, (8, 4, 6), (8, 4, 6), 1, False),
+    (build_vanilla_systematic, (9, 4, 7), (10, 5, 8), 1, False),
 ]
 
 
-@pytest.mark.parametrize("build, nkd, parent, hops", CARRIERS,
+@pytest.mark.parametrize("build, nkd, parent, hops, rbt", CARRIERS,
                          ids=["sparse-8-4-6", "sparse-12-5-10", "rbt-8-4-6", "vanilla-8-4-6", "vanilla-9-4-7"])
-def test_a_code_carries_the_encoding_of_its_direct_construction(build, nkd, parent, hops):
+def test_a_code_carries_the_encoding_of_its_direct_construction(build, nkd, parent, hops, rbt):
     code = build(*nkd)
     direct = code
     for _ in range(hops):
@@ -277,6 +278,15 @@ def test_a_code_carries_the_encoding_of_its_direct_construction(build, nkd, pare
     assert (code.enc.params.n, code.enc.params.k, code.enc.params.d) == parent
     assert code.column_permutation == list(range(code.params.B))
     assert direct.column_permutation is None
+    # the storage basis and the shortening depth, the rest of what repair is derived from
+    assert code.depth == parent[0] - nkd[0] and direct.depth == 0
+    assert (direct.p, direct.p_inv) == (None, None)
+    if rbt:
+        alpha = code.params.alpha
+        assert code.p is code.base.p and code.p == direct.enc.phi.take_rows(range(alpha)).transpose()
+        assert code.p_inv is code.base.p_inv and code.p @ code.p_inv == Matrix.identity(code.params.field, alpha)
+    else:
+        assert (code.p, code.p_inv) == (None, None)
 
 
 def test_apply_rows_bulk_matches_per_stripe_mul():

@@ -285,6 +285,14 @@ def test_shortening_twice_is_shortening_once_by_the_sum():
         assert twice.decode_via_parent(ids, [stored[i] for i in ids]) == m
 
 
+def test_a_shortened_code_is_not_remapped_again():
+    # its repair would need the depth of both layers; shorten from its own base instead
+    with pytest.raises(DesignMismatch):
+        remap_generic(build_vanilla_systematic(9, 4, 7))
+    again = remap_generic(build_vanilla_systematic(8, 4, 6))
+    assert again.depth == 0 and again.enc is again.base.enc
+
+
 def test_shortening_past_k_minus_2_in_total_is_refused():
     parent = build_vanilla_systematic(10, 5, 8)
     shorten(shorten(parent, 2), 1)  # depth 3 = k-2

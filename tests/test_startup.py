@@ -66,3 +66,23 @@ def test_cli_keeps_a_caller_set_thread_count():
     out = run_fresh("import os, pmcode.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
                     OPENBLAS_NUM_THREADS="2")
     assert out == "2"
+
+
+def test_help_loads_what_the_bulk_commands_load():
+    """``--help`` imports numpy, ``pmcode.analysis`` and ``pmcode.shards``, as ``encode``, ``repair`` and ``decode`` do.
+
+    perfbench's ``repair_read_ratio`` subtracts what ``--help`` reads from what a repair
+    reads, so a change that lightened only ``--help`` would raise that ratio with no change
+    in repair and fail the benchmark.  Once perfbench counts a repair's shard bytes instead,
+    a numpy-free ``--help`` can land and this test flips (ROADMAP items 3 and 7).
+    """
+    out = run_fresh(
+        "import runpy, sys\n"
+        "sys.argv = ['pmcode', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('pmcode.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(*(m in sys.modules for m in ('numpy', 'pmcode.analysis', 'pmcode.shards')))"
+    )
+    assert out.splitlines()[-1] == "True True True"
